@@ -38,11 +38,10 @@ from .hypercore import (
     to_text,
     write_path,
 )
-from .netflow import BipartiteGraph, FlowNetwork, NoMatching, SizeMismatch, perfect_matching
+from .netflow import FlowNetwork
 from .orient import (
     BudgetDomainMismatch,
     Infeasible,
-    MatchingImpossible,
     PartNotSparse,
     PartsNotDisjoint,
     StuckEdge,
@@ -55,7 +54,6 @@ from .orient import (
 from .extremal import (
     MValueResult,
     NotDegenerateEnough,
-    TooLarge,
     alpha,
     alpha2,
     beta,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from math import comb
 
 from .hypercore import (
@@ -28,7 +29,7 @@ from .hypercore import (
     write_path,
 )
 from .orient import Infeasible, orient_budget, orient_max_outdeg
-from .extremal import TooLarge, degeneracy, m_value, mad_exact
+from .extremal import degeneracy, m_value, mad_exact
 from .fcalc import (
     FReport,
     ThresholdUnknown,
@@ -41,7 +42,7 @@ from .fcalc import (
     packing_bound,
 )
 from .ramsey import b_value, chi_r, f_p1_exact
-from .verify import SUITES, UnknownSuite, verify_suite
+from .verify import SUITES, UnknownSuite, _budget_kw, verify_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,10 +169,6 @@ def _resolve_budget(args) -> int | None:
         raise _UsageError(f"hyperf: HYPERF_BUDGET must be an integer, got {env!r}")
 
 
-def _budget_kw(budget):
-    return {} if budget is None else {"budget": budget}
-
-
 def _read_hypergraph(path) -> Hypergraph:
     obj = read_path(path)
     if isinstance(obj, Orientation):
@@ -189,33 +186,23 @@ def _is_complete(h: Hypergraph) -> bool:
 
 
 def _multipartite_sizes(g: Hypergraph):
-    """Class sizes if g is a complete multipartite graph, else None."""
+    """Class sizes if g is a complete multipartite graph, else None.
+
+    The classes are the groups of vertices with equal neighbour sets; the
+    graph is complete multipartite exactly when each vertex is adjacent to
+    every vertex outside its group.
+    """
     if g.r != 2:
         return None
     adjacent = [set() for _ in range(g.n)]
     for a, b in g.edges:
         adjacent[a].add(b)
         adjacent[b].add(a)
-    label = [-1] * g.n
-    classes = 0
-    for start in range(g.n):
-        if label[start] != -1:
-            continue
-        stack = [start]
-        label[start] = classes
-        while stack:
-            v = stack.pop()
-            for u in range(g.n):
-                if u != v and u not in adjacent[v] and label[u] == -1:
-                    label[u] = classes
-                    stack.append(u)
-        classes += 1
-    if any(label[a] == label[b] for a, b in g.edges):
+    keys = [frozenset(s) for s in adjacent]
+    groups = Counter(keys)
+    if any(len(key) != g.n - groups[key] for key in keys):
         return None
-    sizes = [0] * classes
-    for v in range(g.n):
-        sizes[label[v]] += 1
-    return tuple(sorted(sizes, reverse=True))
+    return tuple(sorted(groups.values(), reverse=True))
 
 
 def _closed_report(h: Hypergraph, p: int, k: int) -> FReport | None:
@@ -505,14 +492,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExceeded, TooLarge) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
-        best = getattr(exc, "best", None)
-        lower, upper = getattr(exc, "lower", None), getattr(exc, "upper", None)
-        if best is not None:
-            print(f"best found: {best}", file=sys.stderr)
-        if lower is not None or upper is not None:
-            print(f"bracket: [{lower}, {upper}]", file=sys.stderr)
+        if exc.best is not None:
+            print(f"best found: {exc.best}", file=sys.stderr)
+        if exc.lower is not None or exc.upper is not None:
+            print(f"bracket: [{exc.lower}, {exc.upper}]", file=sys.stderr)
         return EXIT_BUDGET
     except ThresholdUnknown as exc:
         print(exc, file=sys.stderr)

@@ -15,27 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .hypercore import BadParams, Hypergraph, HyperfError
+from .hypercore import (
+    DEFAULT_NODE_BUDGET,
+    BadParams,
+    BudgetExceeded,
+    Hypergraph,
+    HyperfError,
+)
 from .orient import saturating_assignment
-
-
-class TooLarge(HyperfError):
-    """Instance exceeds a hard precondition or a search exceeded its budget."""
-
-    def __init__(self, message, lower=None, upper=None, best=None):
-        super().__init__(message)
-        self.lower = lower
-        self.upper = upper
-        self.best = best
 
 
 class NotDegenerateEnough(HyperfError):
     """Hypergraph too degenerate-dense to split into r sparse parts."""
-
-
-DEFAULT_NODE_BUDGET = 10**7
 
 
 # --------------------------------------------------------- maximum average degree
@@ -44,7 +37,7 @@ DEFAULT_NODE_BUDGET = 10**7
 def mad_bruteforce(h: Hypergraph) -> Fraction:
     """Mad by scanning all vertex subsets (n <= 20)."""
     if h.n > 20:
-        raise TooLarge(f"subset scan needs n <= 20, got {h.n}")
+        raise BudgetExceeded(f"subset scan needs n <= 20, got {h.n}")
     if h.e == 0 or h.n == 0:
         return Fraction(0)
     cnt = [0] * (1 << h.n)
@@ -205,7 +198,7 @@ def chromatic_exact(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Smallest number of colors leaving no edge monochromatic.
 
     Iterative deepening between a cheap lower bound and the greedy upper
-    bound; TooLarge on budget exhaustion carries the proven bracket.
+    bound; BudgetExceeded on budget exhaustion carries the proven bracket.
     """
     if h.n == 0:
         return 0
@@ -221,7 +214,7 @@ def chromatic_exact(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
             if _exists_coloring(h, k, counter, budget):
                 return k
         except _BudgetStop:
-            raise TooLarge(
+            raise BudgetExceeded(
                 f"coloring search exceeded {budget} nodes", lower=k, upper=upper
             ) from None
     return upper
@@ -274,7 +267,7 @@ def _max_hereditary_subset(h: Hypergraph, can_extend, budget) -> tuple[int, tupl
     def rec(i):
         counter[0] += 1
         if counter[0] > budget:
-            raise TooLarge(f"subset search exceeded {budget} nodes", best=best[0])
+            raise BudgetExceeded(f"subset search exceeded {budget} nodes", best=best[0])
         if len(cur) + (h.n - i) <= best[0]:
             return
         if i == h.n:
@@ -331,7 +324,7 @@ def alpha2(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     def rec(i, a_mask, b_mask, used):
         counter[0] += 1
         if counter[0] > budget:
-            raise TooLarge(f"alpha2 search exceeded {budget} nodes", best=best[0])
+            raise BudgetExceeded(f"alpha2 search exceeded {budget} nodes", best=best[0])
         if used + (g.n - i) <= best[0]:
             return
         if i == g.n:
@@ -367,7 +360,7 @@ def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     def rec(chosen):
         counter[0] += 1
         if counter[0] > budget:
-            raise TooLarge(f"triangle hitting search exceeded {budget} nodes")
+            raise BudgetExceeded(f"triangle hitting search exceeded {budget} nodes")
         unhit = next((t for t in tris if not chosen.intersection(t)), None)
         if unhit is None:
             best[0] = min(best[0], len(chosen))
@@ -447,7 +440,7 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
     def rec(i, used):
         counter[0] += 1
         if counter[0] > budget:
-            raise TooLarge(f"M search exceeded {budget} nodes", best=best[0])
+            raise BudgetExceeded(f"M search exceeded {budget} nodes", best=best[0])
         if used + (h.n - i) <= best[0]:
             return
         if i == h.n:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .hypercore import (
+    DEFAULT_NODE_BUDGET,
     BadParams,
     BudgetExceeded,
     Hypergraph,
@@ -23,12 +24,11 @@ from .hypercore import (
     Orientation,
     PositionIndex,
     ascending_orientation,
-    canonicalize,
     complete,
     degree_vectors,
+    orientation_from_rows,
 )
 from .extremal import (
-    TooLarge,
     alpha,
     beta,
     chromatic_exact,
@@ -38,7 +38,6 @@ from .extremal import (
 from .orient import orient_from_partition
 
 DEFAULT_SCAN_BUDGET = 10**8
-DEFAULT_NODE_BUDGET = 10**7
 
 
 class ThresholdUnknown(HyperfError):
@@ -96,10 +95,7 @@ def orientation_to_dict(d: Orientation) -> dict:
 
 
 def orientation_from_dict(d: dict) -> Orientation:
-    rows = [tuple(o) for o in d["orders"]]
-    keyed = sorted((tuple(sorted(row)), row) for row in rows)
-    base = canonicalize([key for key, _ in keyed], d["n"], d["r"])
-    return Orientation(base, tuple(row for _, row in keyed))
+    return orientation_from_rows(d["orders"], d["n"], d["r"])
 
 
 # ------------------------------------------------------------------ counting
@@ -316,7 +312,7 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
     def guarded(fn):
         try:
             return fn(), None
-        except TooLarge:
+        except BudgetExceeded:
             return None, "search budget exceeded"
 
     a, why = guarded(lambda: alpha(h, budget))

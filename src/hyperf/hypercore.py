@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 
 class HyperfError(Exception):
@@ -61,6 +61,9 @@ class BudgetExceeded(HyperfError):
         self.best = best
         self.lower = lower
         self.upper = upper
+
+
+DEFAULT_NODE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -437,8 +440,13 @@ def from_text(text: str) -> Hypergraph | Orientation:
         rows.append(tuple(row))
     if kind == "hypergraph":
         return canonicalize(rows, n, r)
-    keyed = sorted((tuple(sorted(row)), row) for row in rows)
-    base = canonicalize([k for k, _ in keyed], n, r)
+    return orientation_from_rows(rows, n, r)
+
+
+def orientation_from_rows(rows: Iterable[Sequence[int]], n: int, r: int) -> Orientation:
+    """Orientation from edge orderings given in any edge order."""
+    keyed = sorted((tuple(sorted(row)), tuple(row)) for row in rows)
+    base = canonicalize([key for key, _ in keyed], n, r)
     return Orientation(base, tuple(row for _, row in keyed))
 
 

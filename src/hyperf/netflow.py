@@ -1,21 +1,15 @@
-"""Integral max-flow and bipartite matching with witnesses.
+"""Integral max-flow with a min-cut witness.
 
 Deterministic by construction: breadth-first augmentation scans arcs in
 insertion order, so ties always resolve toward the lowest-numbered arc.
-Max-flow reports the source side of a min cut; a failed perfect matching
-reports a Hall violator (a left set Q with |N(Q)| < |Q|).
+After a run, the source side of a min cut is the residual-reachable set.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .hypercore import BadParams, HyperfError
-
-
-class SizeMismatch(HyperfError):
-    """Perfect matching requires equal side sizes."""
+from .hypercore import BadParams
 
 
 class FlowNetwork:
@@ -102,79 +96,3 @@ class FlowNetwork:
                     seen.add(v)
                     queue.append(v)
         return seen
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Left/right vertex sets 0..size-1 with adjacency lists from the left."""
-
-    left_size: int
-    right_size: int
-    adj: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "adj", tuple(tuple(row) for row in self.adj))
-        if len(self.adj) != self.left_size:
-            raise BadParams("one adjacency row per left vertex required")
-        for row in self.adj:
-            if len(set(row)) != len(row):
-                raise BadParams(f"duplicate right vertex in row {row}")
-            for w in row:
-                if not (0 <= w < self.right_size):
-                    raise BadParams(f"right vertex {w} out of range")
-
-
-@dataclass(frozen=True)
-class NoMatching:
-    """Hall violator: left set Q whose joint neighborhood is smaller than Q."""
-
-    violator: tuple[int, ...]
-    neighborhood: tuple[int, ...]
-
-
-def perfect_matching(bg: BipartiteGraph) -> list[int] | NoMatching:
-    """Perfect matching as a list (left index -> right index), or a violator.
-
-    Greedy seeding then augmenting paths, both scanning candidates in
-    ascending order, so the result is the sequential lowest-index outcome.
-    """
-    if bg.left_size != bg.right_size:
-        raise SizeMismatch(f"left {bg.left_size} != right {bg.right_size}")
-    match_l = [-1] * bg.left_size
-    match_r = [-1] * bg.right_size
-    for u in range(bg.left_size):
-        for w in bg.adj[u]:
-            if match_r[w] == -1:
-                match_l[u] = w
-                match_r[w] = u
-                break
-
-    def augment(u, visited):
-        for w in bg.adj[u]:
-            if w not in visited:
-                visited.add(w)
-                if match_r[w] == -1 or augment(match_r[w], visited):
-                    match_l[u] = w
-                    match_r[w] = u
-                    return True
-        return False
-
-    for u in range(bg.left_size):
-        if match_l[u] == -1 and not augment(u, set()):
-            # alternating reachability from u certifies the Hall violation
-            q = {u}
-            nbhd = set()
-            frontier = [u]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for w in bg.adj[x]:
-                        if w not in nbhd:
-                            nbhd.add(w)
-                            y = match_r[w]
-                            if y != -1 and y not in q:
-                                q.add(y)
-                                nxt.append(y)
-                frontier = nxt
-            return NoMatching(tuple(sorted(q)), tuple(sorted(nbhd)))
-    return match_l

@@ -20,8 +20,9 @@ from .hypercore import (
     HyperfError,
     Orientation,
     PositionIndex,
+    degree_vectors,
 )
-from .netflow import BipartiteGraph, FlowNetwork, NoMatching, perfect_matching
+from .netflow import FlowNetwork
 
 
 class BudgetDomainMismatch(HyperfError):
@@ -34,10 +35,6 @@ class PartsNotDisjoint(HyperfError):
 
 class PartNotSparse(HyperfError):
     """A part is too dense for the requested within-part degree bound."""
-
-
-class MatchingImpossible(HyperfError):
-    """Internal invariant violation: the per-edge position matching failed."""
 
 
 class StuckEdge(HyperfError):
@@ -145,9 +142,9 @@ def orient_from_partition(
     degrees <= k-1 (equivalently Mad of the induced part <= r(k-1)).  Edges
     inside part i get that internal orientation rotated so the bounded
     position is i; edges inside the remainder are ascending; every other
-    edge gets a position assignment in which no vertex of part i stands at
-    position i, found by a perfect matching.  The result has
-    deg_i(v) <= k-1 for all v in part i.
+    edge takes its lexicographically first ordering in which no vertex of
+    part i stands at position i (the lowest-index rule of
+    orient_forbidden).  The result has deg_i(v) <= k-1 for all v in part i.
     """
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
@@ -190,23 +187,37 @@ def orient_from_partition(
             continue
         if rest_set.issuperset(edge):
             orders[ei] = edge
-            continue
-        # crossing edge: position j may not take a vertex of part j
-        adj = tuple(
-            tuple(t for t, v in enumerate(edge) if part_of.get(v) != j)
-            for j in range(h.r)
-        )
-        match = perfect_matching(BipartiteGraph(h.r, h.r, adj))
-        if isinstance(match, NoMatching):
-            raise MatchingImpossible(f"edge {edge}: positions {match.violator} blocked")
-        orders[ei] = tuple(edge[match[j]] for j in range(h.r))
+        else:
+            orders[ei] = _crossing_order(edge, part_of)
 
-    result = Orientation(h, tuple(orders))
-    for i, part in enumerate(psets):
-        for v in part:
-            load = sum(1 for order in result.orders if order[i] == v)
-            assert load <= k - 1, "partition orientation must bound its coordinate"
-    return result
+    load = [0] * h.n
+    for order in orders:
+        for i, v in enumerate(order):
+            if part_of.get(v) == i:
+                load[v] += 1
+    assert max(load, default=0) <= k - 1, "partition orientation must bound its coordinate"
+    return Orientation(h, tuple(orders))
+
+
+def _crossing_order(edge, part_of) -> tuple[int, ...]:
+    """Lexicographically first ordering of an edge lying inside no part in
+    which no vertex of part j stands at position j.
+
+    Each vertex bars at most one position, so the unused vertices fit the
+    unfilled positions unless all of them are barred from one same later
+    position; position j takes the lowest allowed vertex that avoids that.
+    """
+    left = list(edge)
+    order = []
+    for j in range(len(edge)):
+        for v in left:
+            barred = {part_of.get(u, -1) for u in left if u != v}
+            stalls = len(barred) == 1 and max(barred) > j
+            if part_of.get(v) != j and not stalls:
+                break
+        order.append(v)
+        left.remove(v)
+    return tuple(order)
 
 
 def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
@@ -253,8 +264,6 @@ def deficiency_coloring(d: Orientation, p: int, k: int) -> dict[tuple[int, ...],
     are all >= k gets the sentinel C(r,p).  The sentinel count is exactly
     the number of p-sets this orientation leaves everywhere-full.
     """
-    from .hypercore import degree_vectors
-
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
     vecs = degree_vectors(d, p)

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .hypercore import (
+    DEFAULT_NODE_BUDGET,
     BadParams,
     BadPSet,
     BudgetExceeded,
     Hypergraph,
     canonicalize,
 )
-from .extremal import TooLarge, chromatic_exact
+from .extremal import chromatic_exact
 from .fcalc import FReport, f_count
 from .orient import orient_forbidden
 
@@ -79,18 +80,13 @@ def derived_pset_hypergraph(h: Hypergraph, p: int) -> Hypergraph:
     return canonicalize(edges, len(ranks), math.comb(h.r, p))
 
 
-def chi_r(h: Hypergraph, p: int, budget: int = 10**7) -> int:
+def chi_r(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Fewest colors on all p-sets leaving no edge p-monochromatic."""
     if not (1 <= p <= h.r - 1):
         raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
     if h.e == 0:
         return 1
-    try:
-        return chromatic_exact(derived_pset_hypergraph(h, p), budget)
-    except TooLarge as exc:
-        raise BudgetExceeded(
-            f"chi_r search exceeded {budget} nodes", lower=exc.lower, upper=exc.upper
-        ) from None
+    return chromatic_exact(derived_pset_hypergraph(h, p), budget)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ class BValueResult:
     coloring: PSetColoring
 
 
-def b_value(h: Hypergraph, p: int, budget: int = 10**7) -> BValueResult:
+def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueResult:
     """Most p-sets colorable with C(r,p) colors, no fully colored edge
     p-monochromatic, with a witness coloring.
 
@@ -154,7 +150,7 @@ def b_value(h: Hypergraph, p: int, budget: int = 10**7) -> BValueResult:
     return BValueResult(best[0], PSetColoring(p, palette, best[1]))
 
 
-def f_p1_exact(h: Hypergraph, p: int, budget: int = 10**7) -> FReport:
+def f_p1_exact(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport:
     """f(H,p,1) for p in {1, r-1}: C(n,p) - b(H,p), certified.
 
     The forbidden-coordinate orientation built from a maximum coloring

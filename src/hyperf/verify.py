@@ -39,7 +39,7 @@ from .fcalc import (
     f_count,
     f_via_m,
 )
-from .ramsey import b_value, chi_r, f_p1_exact
+from .ramsey import chi_r, f_p1_exact
 
 
 class UnknownSuite(HyperfError):

@@ -10,7 +10,9 @@ from hyperf import (
     FReport,
     Orientation,
     PSetColoring,
+    canonicalize,
     complete,
+    complete_multipartite,
     read_path,
     to_text,
     write_path,
@@ -83,6 +85,17 @@ def test_f_auto_picks_closed_form(tmp_path, capsys):
     assert main(["f", str(src), "--k", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["4", "method: closed"]
+
+
+def test_f_auto_recognises_complete_multipartite(tmp_path, capsys):
+    g = complete_multipartite((3, 2, 2))
+    src = tmp_path / "k322.hg"
+    write_path(g, src)
+    assert main(["f", str(src), "--k", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2", "method: closed"]
+    write_path(canonicalize(g.edges[1:], g.n, 2), src)
+    assert main(["f", str(src), "--k", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] != "method: closed"
 
 
 def test_b_json_coloring_roundtrip(tmp_path, capsys):

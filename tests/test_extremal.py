@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from hyperf import (
+    BudgetExceeded,
     NotDegenerateEnough,
-    TooLarge,
     alpha,
     alpha2,
     beta,
@@ -67,7 +67,7 @@ def test_mad_exact_agrees_with_enumeration_and_certifies():
 
 
 def test_mad_bruteforce_refuses_large_instances():
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         mad_bruteforce(canonicalize([], 21, 2))
 
 
@@ -108,7 +108,7 @@ def test_chromatic_exact_values():
 
 
 def test_chromatic_budget_bracket():
-    with pytest.raises(TooLarge) as err:
+    with pytest.raises(BudgetExceeded) as err:
         chromatic_exact(_cycle(5), budget=1)
     assert (err.value.lower, err.value.upper) == (2, 3)
 
@@ -174,7 +174,7 @@ def test_m_value_parts_are_certified_sparse():
 
 
 def test_m_value_budget_carries_partial():
-    with pytest.raises(TooLarge) as err:
+    with pytest.raises(BudgetExceeded) as err:
         m_value(complete(10, 2), 1, budget=5)
     assert err.value.best is not None
     assert 0 <= err.value.best <= 10

@@ -1,17 +1,10 @@
-"""Max-flow and bipartite-matching kernel tests."""
+"""Max-flow kernel tests."""
 
 import random
 
 import pytest
 
-from hyperf import (
-    BadParams,
-    BipartiteGraph,
-    FlowNetwork,
-    NoMatching,
-    SizeMismatch,
-    perfect_matching,
-)
+from hyperf import BadParams, FlowNetwork
 
 
 def _demo_network():
@@ -70,54 +63,3 @@ def test_add_arc_validates_endpoints():
         net.add_arc(0, 3, 1)
     with pytest.raises(BadParams):
         net.add_arc(0, 1, -2)
-
-
-def test_perfect_matching_found_and_valid():
-    bg = BipartiteGraph(3, 3, ((0, 1), (1, 2), (0, 2)))
-    result = perfect_matching(bg)
-    assert isinstance(result, list)
-    assert sorted(result) == [0, 1, 2]
-    assert all(result[u] in bg.adj[u] for u in range(3))
-
-
-def test_perfect_matching_reports_hall_violator():
-    bg = BipartiteGraph(3, 3, ((0,), (0,), (0, 1, 2)))
-    result = perfect_matching(bg)
-    assert isinstance(result, NoMatching)
-    hood = set()
-    for u in result.violator:
-        hood.update(bg.adj[u])
-    assert set(result.neighborhood) == hood
-    assert len(result.neighborhood) < len(result.violator)
-
-
-def test_perfect_matching_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        perfect_matching(BipartiteGraph(2, 3, ((0,), (1,))))
-
-
-def test_matching_random_corpus_outcomes_are_certified():
-    rng = random.Random(11)
-    for _ in range(60):
-        size = rng.randint(1, 7)
-        adj = tuple(
-            tuple(sorted(rng.sample(range(size), rng.randint(0, size))))
-            for _ in range(size)
-        )
-        result = perfect_matching(BipartiteGraph(size, size, adj))
-        if isinstance(result, NoMatching):
-            hood = set()
-            for u in result.violator:
-                hood.update(adj[u])
-            assert set(result.neighborhood) == hood
-            assert len(hood) < len(result.violator)
-        else:
-            assert sorted(result) == list(range(size))
-            assert all(result[u] in adj[u] for u in range(size))
-
-
-def test_matching_deterministic():
-    adj = ((0, 1), (0, 1), (0, 1, 2))
-    first = perfect_matching(BipartiteGraph(3, 3, adj))
-    second = perfect_matching(BipartiteGraph(3, 3, adj))
-    assert first == second

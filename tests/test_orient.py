@@ -2,6 +2,7 @@
 coordinates, and deficiency colorings."""
 
 import random
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from hyperf import (
     PartNotSparse,
     PartsNotDisjoint,
     StuckEdge,
+    canonicalize,
     complete,
     deficiency_coloring,
     f_count,
@@ -99,6 +101,34 @@ def test_partition_orientation_rejects_bad_parts():
         orient_from_partition(complete(4, 2), 1, ((0, 1, 2),))
     with pytest.raises(BadParams):
         orient_from_partition(complete(4, 2), 1, ((0, 1), (2, 3), (0,)))
+
+
+def _first_admissible(edge, parts):
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    return next(
+        cand for cand in permutations(edge)
+        if all(part_of.get(v) != j for j, v in enumerate(cand))
+    )
+
+
+def test_partition_crossing_edge_takes_first_admissible_order():
+    h = canonicalize([(0, 1, 2)], 3, 3)
+    assert orient_from_partition(h, 1, [(), (), (2,)]).orders == ((0, 2, 1),)
+    h = canonicalize([(0, 1, 2, 3)], 4, 4)
+    assert orient_from_partition(h, 1, [(), (), (), (3,)]).orders == ((0, 1, 3, 2),)
+
+
+def test_partition_crossing_edges_match_permutation_scan():
+    for r in range(2, 6):
+        h = complete(r, r)
+        edge = h.edges[0]
+        # label -1 puts a vertex in the remainder
+        for labels in product(range(-1, r), repeat=r):
+            if len(set(labels)) == 1 and labels[0] >= 0:
+                continue  # an edge inside one part is oriented within the part
+            parts = [[v for v in edge if labels[v] == i] for i in range(r)]
+            d = orient_from_partition(h, 1, parts)
+            assert d.orders == (_first_admissible(edge, parts),), labels
 
 
 def test_forbidden_coordinates_vertex_case():
