@@ -6,8 +6,11 @@ F; independence means containing no full edge; degeneracy is the largest
 min-degree over induced sub-hypergraphs.  M(H,k) is the largest union of
 r disjoint vertex sets whose induced parts all satisfy Mad <= r*k.
 
-All searches are exact branch-and-bound with explicit node budgets and
-deterministic orderings.
+alpha, alpha2, beta, M(H,k) and (in ``ramsey``) b(H,p) are one problem:
+the largest union of q disjoint vertex sets, each with a hereditary
+sparsity property.  ``_sparse_parts`` is the single branch and bound that
+solves it; ``chromatic_exact`` and ``hit_triangles`` are separate searches.
+All searches have explicit node budgets and deterministic orderings.
 """
 
 from __future__ import annotations
@@ -113,13 +116,24 @@ def mad_exact(h: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
 
 def degeneracy(h: Hypergraph) -> tuple[int, list[int]]:
     """Degeneracy and a min-degree elimination order (lowest index on ties)."""
-    alive = set(range(h.n))
-    edge_alive = [True] * h.e
-    deg = h.degrees()
+    return _peel(h, range(h.n))
+
+
+def _peel(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, list[int]]:
+    """Degeneracy of the sub-hypergraph induced by the given vertices, and
+    its min-degree elimination order (lowest index on ties)."""
+    alive = set(vertices)
+    inside = [edge for edge in h.edges if alive.issuperset(edge)]
+    deg = dict.fromkeys(alive, 0)
+    incident: dict[int, list[int]] = {v: [] for v in alive}
+    for ei, edge in enumerate(inside):
+        for v in edge:
+            deg[v] += 1
+            incident[v].append(ei)
+    edge_alive = [True] * len(inside)
     order = []
     dmax = 0
-    incident = _incident(h)
-    for _ in range(h.n):
+    while alive:
         v = min(alive, key=lambda x: (deg[x], x))
         dmax = max(dmax, deg[v])
         order.append(v)
@@ -127,7 +141,7 @@ def degeneracy(h: Hypergraph) -> tuple[int, list[int]]:
         for ei in incident[v]:
             if edge_alive[ei]:
                 edge_alive[ei] = False
-                for u in h.edges[ei]:
+                for u in inside[ei]:
                     if u in alive:
                         deg[u] -= 1
     return dmax, order
@@ -139,23 +153,6 @@ def _incident(h: Hypergraph) -> list[list[int]]:
         for v in edge:
             inc[v].append(ei)
     return inc
-
-
-def _subset_degeneracy(h: Hypergraph, vertices: Iterable[int]) -> int:
-    """Degeneracy of the sub-hypergraph induced by the given vertices."""
-    alive = set(vertices)
-    inside = [set(h.edges[ei]) for ei in h.edges_inside(alive)]
-    dmax = 0
-    while alive:
-        deg = {v: 0 for v in alive}
-        for e in inside:
-            for v in e:
-                deg[v] += 1
-        v = min(alive, key=lambda x: (deg[x], x))
-        dmax = max(dmax, deg[v])
-        alive.remove(v)
-        inside = [e for e in inside if v not in e]
-    return dmax
 
 
 def szekeres_wilf_coloring(h: Hypergraph) -> list[int]:
@@ -225,7 +222,8 @@ class _BudgetStop(Exception):
 
 
 def _exists_coloring(h: Hypergraph, k: int, counter, budget) -> bool:
-    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    degs = h.degrees()
+    order = sorted(range(h.n), key=lambda v: (-degs[v], v))
     incident = _incident(h)
     color: dict[int, int] = {}
 
@@ -255,46 +253,116 @@ def _exists_coloring(h: Hypergraph, k: int, counter, budget) -> bool:
 # ----------------------------------------------- independence-type invariants
 
 
-def _max_hereditary_subset(h: Hypergraph, can_extend, budget) -> tuple[int, tuple[int, ...]]:
-    """Largest vertex set S, grown element by element, with can_extend(S, v)
-    approving every addition.  Requires the target property be closed under
-    taking subsets, so a refused addition prunes the whole branch."""
-    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-    best = [0, ()]
-    counter = [0]
-    cur: list[int] = []
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
 
-    def rec(i):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded(f"subset search exceeded {budget} nodes", best=best[0])
-        if len(cur) + (h.n - i) <= best[0]:
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
+                  exact=None, greedy: bool = False) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Largest union of q disjoint vertex sets that are each sparse.
+
+    A set S is sparse when it spans at most cap*|S| edges and, if it spans
+    any, exact(bitmask of S) approves it.  The property must be closed
+    under taking subsets, so a refused addition prunes the whole branch,
+    and adding a vertex that closes no edge must keep it, so exact is asked
+    only when an addition closes an edge.  cap is 0 for independent sets,
+    k for Mad <= r*k, and d for d-degenerate sets (peeling one removes at
+    most d edges per vertex).
+
+    Branch and bound over vertices in (-degree, index) order: a vertex
+    joins each nonempty part, then the first empty one (parts fill in
+    index order, which breaks their symmetry), and stays out last.  Each
+    part is a bitmask with its spanned-edge count; adding v counts the
+    edges v closes, stopping once the count passes the cap.  greedy seeds
+    the incumbent with first-fit passes in search, reversed and index
+    order.  Returns the size and the parts as ascending vertex tuples;
+    BudgetExceeded after `budget` nodes carries the incumbent size.
+    """
+    n = h.n
+    degs = h.degrees()
+    order = sorted(range(n), key=lambda v: (-degs[v], v))
+    closers: list[list[int]] = [[] for _ in range(n)]
+    reach = [0] * n
+    for edge in h.edges:
+        mask = _mask(edge)
+        for v in edge:
+            rest = mask ^ 1 << v
+            closers[v].append(rest)
+            reach[v] |= rest
+
+    def grow(part, count, v):
+        """Edges spanned by part + v, or -1 when that set is not sparse."""
+        # a closed edge needs r-1 part vertices that share an edge with v
+        if (part & reach[v]).bit_count() < h.r - 1:
+            return count
+        grown = count
+        limit = cap * (part.bit_count() + 1)
+        for rest in closers[v]:
+            if rest & part == rest:
+                grown += 1
+                if grown > limit:
+                    return -1
+        if grown > count and exact is not None and not exact(part | 1 << v):
+            return -1
+        return grown
+
+    best, best_parts = 0, [0] * q
+    if greedy:
+        for seq in (order, order[::-1], range(n)):
+            parts, counts = [0] * q, [0] * q
+            for v in seq:
+                for j in range(q):
+                    grown = grow(parts[j], counts[j], v)
+                    if grown >= 0:
+                        parts[j] |= 1 << v
+                        counts[j] = grown
+                        break
+            used = sum(part.bit_count() for part in parts)
+            if used > best:
+                best, best_parts = used, parts
+
+    parts, counts = [0] * q, [0] * q
+    nodes = 0
+
+    def rec(i, used):
+        nonlocal best, best_parts, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best)
+        if used + (n - i) <= best:
             return
-        if i == h.n:
-            best[0] = len(cur)
-            best[1] = tuple(sorted(cur))
+        if i == n:
+            best, best_parts = used, parts[:]
             return
         v = order[i]
-        if can_extend(cur, v):
-            cur.append(v)
-            rec(i + 1)
-            cur.pop()
-        rec(i + 1)
+        for j in range(q):
+            part, count = parts[j], counts[j]
+            grown = grow(part, count, v)
+            if grown >= 0:
+                parts[j], counts[j] = part | 1 << v, grown
+                rec(i + 1, used + 1)
+                parts[j], counts[j] = part, count
+            if not part:
+                break
+        rec(i + 1, used)
 
-    rec(0)
-    return best[0], best[1]
+    rec(0, 0)
+    return best, tuple(_members(part) for part in best_parts)
 
 
 def alpha(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Independence number: largest set containing no full edge."""
-    incident = _incident(h)
-
-    def can_extend(cur, v):
-        s = set(cur)
-        s.add(v)
-        return not any(s.issuperset(h.edges[ei]) for ei in incident[v])
-
-    return _max_hereditary_subset(h, can_extend, budget)[0]
+    return _sparse_parts(h, 1, 0, budget, "subset search")[0]
 
 
 def beta(h: Hypergraph, d: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -302,44 +370,17 @@ def beta(h: Hypergraph, d: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     if d < 0:
         raise BadParams(f"degeneracy bound must be >= 0, got {d}")
 
-    def can_extend(cur, v):
-        return _subset_degeneracy(h, cur + [v]) <= d
+    def degenerate(part):
+        return _peel(h, _members(part))[0] <= d
 
-    return _max_hereditary_subset(h, can_extend, budget)[0]
+    return _sparse_parts(h, 1, d, budget, "subset search", degenerate)[0]
 
 
 def alpha2(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest union of two disjoint independent sets of a graph."""
     if g.r != 2:
         raise BadParams("alpha2 is defined for graphs (r=2)")
-    adj = [0] * g.n
-    for u, w in g.edges:
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
-    degs = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    best = [0]
-    counter = [0]
-
-    def rec(i, a_mask, b_mask, used):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded(f"alpha2 search exceeded {budget} nodes", best=best[0])
-        if used + (g.n - i) <= best[0]:
-            return
-        if i == g.n:
-            best[0] = used
-            return
-        v = order[i]
-        bit = 1 << v
-        if adj[v] & a_mask == 0:
-            rec(i + 1, a_mask | bit, b_mask, used + 1)
-        if a_mask and adj[v] & b_mask == 0:
-            rec(i + 1, a_mask, b_mask | bit, used + 1)
-        rec(i + 1, a_mask, b_mask, used)
-
-    rec(0, 0, 0, 0)
-    return best[0]
+    return _sparse_parts(g, 2, 0, budget, "alpha2 search")[0]
 
 
 def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -389,81 +430,27 @@ class MValueResult:
 def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueResult:
     """M(H,k): largest union of r disjoint parts, each with Mad <= r*k.
 
-    Branch and bound over vertices in decreasing degree order; each vertex
-    joins a part (first empty part only, breaking part symmetry) or stays
-    unused (tried last).  Part feasibility is a flow test, cached; a part
-    that fails can never be extended, since Mad only grows with the set.
+    The sparse-parts search with cap k, seeded by three greedy passes.  A
+    part spanning at most k*|part| edges is tested exactly by a cached
+    flow; Mad only grows with the set, so a failed part is never extended.
     """
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
-    degs = h.degrees()
-    order = sorted(range(h.n), key=lambda v: (-degs[v], v))
-    cache: dict[frozenset, bool] = {}
+    edge_masks = [_mask(edge) for edge in h.edges]
+    cache: dict[int, bool] = {}
 
-    def part_ok(vs: set[int]) -> bool:
-        key = frozenset(vs)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        ids = h.edges_inside(vs)
-        if len(ids) > k * len(vs):
-            ok = False
-        elif not ids:
-            ok = True
-        else:
-            flows, _ = saturating_assignment(h, ids, {v: k for v in vs})
-            ok = flows is not None
-        cache[key] = ok
+    def mad_ok(part):
+        ok = cache.get(part)
+        if ok is None:
+            ids = [ei for ei, mask in enumerate(edge_masks) if mask & part == mask]
+            flows, _ = saturating_assignment(h, ids, dict.fromkeys(_members(part), k))
+            ok = cache[part] = flows is not None
         return ok
 
-    parts: list[set[int]] = [set() for _ in range(h.r)]
-    best: list = [-1, [()] * h.r]
-
-    def greedy(seq):
-        gp: list[set[int]] = [set() for _ in range(h.r)]
-        used = 0
-        for v in seq:
-            for j in range(h.r):
-                if part_ok(gp[j] | {v}):
-                    gp[j].add(v)
-                    used += 1
-                    break
-        return used, gp
-
-    for seq in (order, list(reversed(order)), range(h.n)):
-        used, gp = greedy(seq)
-        if used > best[0]:
-            best = [used, [tuple(sorted(p)) for p in gp]]
-
-    counter = [0]
-
-    def rec(i, used):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded(f"M search exceeded {budget} nodes", best=best[0])
-        if used + (h.n - i) <= best[0]:
-            return
-        if i == h.n:
-            best[0] = used
-            best[1] = [tuple(sorted(p)) for p in parts]
-            return
-        v = order[i]
-        opened_empty = False
-        for j in range(h.r):
-            if not parts[j]:
-                if opened_empty:
-                    continue
-                opened_empty = True
-            if part_ok(parts[j] | {v}):
-                parts[j].add(v)
-                rec(i + 1, used + 1)
-                parts[j].remove(v)
-        rec(i + 1, used)
-
-    rec(0, 0)
-    covered = set(v for p in best[1] for v in p)
+    value, parts = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)
+    covered = set(v for p in parts for v in p)
     remainder = tuple(v for v in range(h.n) if v not in covered)
-    return MValueResult(best[0], tuple(best[1]), remainder)
+    return MValueResult(value, parts, remainder)
 
 
 def partition_degenerate(h: Hypergraph, k: int) -> list[list[int]]:
@@ -497,5 +484,5 @@ def partition_degenerate(h: Hypergraph, k: int) -> list[list[int]]:
                 break
         assert placed, "pigeonhole on the elimination degree must find a part"
     for part in parts:
-        assert _subset_degeneracy(h, part) <= k
+        assert _peel(h, part)[0] <= k
     return [sorted(p) for p in parts]

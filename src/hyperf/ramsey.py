@@ -18,11 +18,10 @@ from .hypercore import (
     DEFAULT_NODE_BUDGET,
     BadParams,
     BadPSet,
-    BudgetExceeded,
     Hypergraph,
     canonicalize,
 )
-from .extremal import chromatic_exact
+from .extremal import _sparse_parts, chromatic_exact
 from .fcalc import FReport, f_count
 from .orient import orient_forbidden
 
@@ -99,55 +98,16 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     """Most p-sets colorable with C(r,p) colors, no fully colored edge
     p-monochromatic, with a witness coloring.
 
-    Branch and bound over p-sets in decreasing edge-incidence order; each
-    p-set takes a color (new colors in increasing order) or, as the last
-    choice, stays uncolored.  A monochromatic completion is rejected at
-    the moment the last p-subset of an edge takes the shared color.
+    Each color class must be an independent set of the derived p-set
+    hypergraph, so this is the sparse-parts search with C(r,p) parts and
+    cap 0 over p-set ranks: p-sets in decreasing edge-incidence order, used
+    colors first, then the next new color, and uncolored last.
     """
-    if not (1 <= p <= h.r - 1):
-        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
-    palette = math.comb(h.r, p)
+    derived = derived_pset_hypergraph(h, p)
+    value, classes = _sparse_parts(derived, derived.r, 0, budget, "b search")
     psets = list(combinations(range(h.n), p))
-    edge_subs = [tuple(combinations(edge, p)) for edge in h.edges]
-    incidence: dict[tuple, list[int]] = {a: [] for a in psets}
-    for ei, subs in enumerate(edge_subs):
-        for s in subs:
-            incidence[s].append(ei)
-    order = sorted(psets, key=lambda a: (-len(incidence[a]), a))
-    total = len(order)
-    assign: dict[tuple, int] = {}
-    best = [-1, {}]
-    counter = [0]
-
-    def rec(i, colored, max_used):
-        counter[0] += 1
-        if counter[0] > budget:
-            exc = BudgetExceeded(
-                f"b search exceeded {budget} nodes", best=best[0]
-            )
-            exc.coloring = PSetColoring(p, palette, dict(best[1]))
-            raise exc
-        if colored + (total - i) <= best[0]:
-            return
-        if i == total:
-            best[0] = colored
-            best[1] = dict(assign)
-            return
-        a = order[i]
-        for c in range(min(palette - 1, max_used + 1) + 1):
-            ok = True
-            for ei in incidence[a]:
-                if all(assign.get(s) == c for s in edge_subs[ei] if s != a):
-                    ok = False
-                    break
-            if ok:
-                assign[a] = c
-                rec(i + 1, colored + 1, max(max_used, c))
-                del assign[a]
-        rec(i + 1, colored, max_used)
-
-    rec(0, 0, -1)
-    return BValueResult(best[0], PSetColoring(p, palette, best[1]))
+    colored = {psets[a]: c for c, members in enumerate(classes) for a in members}
+    return BValueResult(value, PSetColoring(p, derived.r, colored))
 
 
 def f_p1_exact(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport:

@@ -31,7 +31,7 @@ from .hypercore import (
     random_orientation,
 )
 from .orient import Infeasible, orient_max_outdeg
-from .extremal import alpha, alpha2, hit_triangles, m_value, mad_bruteforce
+from .extremal import hit_triangles, m_value, mad_bruteforce
 from .fcalc import (
     closed_form_complete,
     closed_form_multipartite,
@@ -349,9 +349,7 @@ def suite_complement(seed=1, budget=None):
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
         total = 1 << len(pairs)
-        two_part = [0] * total
-        for mask in range(total):
-            two_part[mask] = alpha2(_graph_of_mask(n, pairs, mask), **kw)
+        two_part = _two_independent_table(n, pairs)
         full = total - 1
         violations = sum(
             1 for mask in range(total) if two_part[mask] + two_part[full ^ mask] > n + 4
@@ -487,7 +485,7 @@ def suite_join_reduction(seed=1, budget=None):
         n = rng.randint(3, 8)
         m = rng.randint(0, min(14, comb(n, 2)))
         g = random_hypergraph(n, 2, m, seed=rng.randrange(1 << 30))
-        a = alpha(g, **kw)
+        a = _independence_by_scan(g)
         joined = join_k2(g)
         mv = m_value(joined, 0, **kw).value
         mismatch = [
@@ -512,6 +510,51 @@ def _partitions(n, max_part=None):
     for first in range(top, 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
+
+
+def _two_independent_table(n, pairs) -> list[int]:
+    """Largest union of two disjoint independent sets of every graph on n
+    vertices, indexed by edge mask over `pairs`, by subset enumeration.
+
+    A disjoint pair (A, B) suits exactly the graphs avoiding the pairs
+    inside A or inside B, so the table is a subset-max over those masks.
+    """
+    inside = [0] * (1 << n)
+    for i, (u, w) in enumerate(pairs):
+        both = 1 << u | 1 << w
+        for s in range(1 << n):
+            if s & both == both:
+                inside[s] |= 1 << i
+    total = 1 << len(pairs)
+    best = [0] * total
+    everyone = (1 << n) - 1
+    for a in range(1 << n):
+        rest = everyone ^ a
+        b = rest
+        while True:
+            spanned = inside[a] | inside[b]
+            size = a.bit_count() + b.bit_count()
+            if size > best[spanned]:
+                best[spanned] = size
+            if not b:
+                break
+            b = (b - 1) & rest
+    for i in range(len(pairs)):
+        bit = 1 << i
+        for mask in range(total):
+            if mask & bit and best[mask ^ bit] > best[mask]:
+                best[mask] = best[mask ^ bit]
+    return [best[(total - 1) ^ mask] for mask in range(total)]
+
+
+def _independence_by_scan(g: Hypergraph) -> int:
+    """Independence number by scanning all 2^n vertex subsets."""
+    edge_masks = [sum(1 << v for v in edge) for edge in g.edges]
+    return max(
+        s.bit_count()
+        for s in range(1 << g.n)
+        if all(s & m != m for m in edge_masks)
+    )
 
 
 def _graph_of_mask(n, pairs, mask) -> Hypergraph:

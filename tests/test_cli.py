@@ -167,6 +167,8 @@ def test_budget_flag_exit_three(tmp_path, capsys):
     write_path(complete(6, 2), src)
     assert main(["b", str(src), "--budget", "5"]) == 3
     assert "budget" in capsys.readouterr().err
+    assert main(["b", str(src), "--p", "1", "--budget", "1"]) == 3
+    assert "best found: 0" in capsys.readouterr().err.splitlines()
 
 
 def test_budget_env_var(tmp_path, capsys, monkeypatch):

@@ -3,15 +3,20 @@ special subsets, and the sparse-partition maximum."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperf import (
     BudgetExceeded,
+    Hypergraph,
     NotDegenerateEnough,
     alpha,
     alpha2,
+    b_value,
     beta,
     canonicalize,
     chromatic_exact,
@@ -37,6 +42,96 @@ def _induced(h, vertices):
     relabel = {v: i for i, v in enumerate(vs)}
     edges = [tuple(relabel[v] for v in h.edges[i]) for i in h.edges_inside(vs)]
     return canonicalize(edges, len(vs), h.r)
+
+
+def _edge_counts(h):
+    """Edges inside each vertex subset, indexed by bitmask."""
+    cnt = [0] * (1 << h.n)
+    for edge in h.edges:
+        cnt[sum(1 << v for v in edge)] += 1
+    for v in range(h.n):
+        for s in range(1 << h.n):
+            if s >> v & 1:
+                cnt[s] += cnt[s ^ 1 << v]
+    return cnt
+
+
+def _independent_sets(h):
+    return [c == 0 for c in _edge_counts(h)]
+
+
+def _mad_sparse_sets(h, k):
+    """Sets S with e(T) <= k*|T| for every T inside S, i.e. Mad(S) <= r*k."""
+    ok = [c <= k * s.bit_count() for s, c in enumerate(_edge_counts(h))]
+    for v in range(h.n):
+        for s in range(1 << h.n):
+            if s >> v & 1:
+                ok[s] = ok[s] and ok[s ^ 1 << v]
+    return ok
+
+
+def _degenerate_sets(h, d):
+    """Sets whose every nonempty subset has a vertex of degree <= d, by
+    removing such a vertex from each set in increasing order."""
+    masks = [sum(1 << v for v in edge) for edge in h.edges]
+    ok = [True] * (1 << h.n)
+    for s in range(1, 1 << h.n):
+        inside = [m for m in masks if s & m == m]
+        ok[s] = any(
+            s >> v & 1 and ok[s ^ 1 << v] and sum(1 for m in inside if m >> v & 1) <= d
+            for v in range(h.n)
+        )
+    return ok
+
+
+def _safe_pset_families(h, p):
+    """Sets of p-sets (bitmask over the lexicographic p-sets) containing
+    every p-subset of no edge."""
+    index = {a: i for i, a in enumerate(combinations(range(h.n), p))}
+    masks = [sum(1 << index[s] for s in combinations(edge, p)) for edge in h.edges]
+    return [all(s & m != m for m in masks) for s in range(1 << len(index))]
+
+
+def _max_union(q, ok):
+    """Largest union of q disjoint members of the subset-closed family ok,
+    a list over all subsets, by dynamic programming over subsets."""
+    full = len(ok) - 1
+    best = [0] * len(ok)
+    for _ in range(q):
+        nxt = [0] * len(ok)
+        for u in range(len(ok)):
+            s = u
+            while True:
+                if ok[s]:
+                    nxt[u] = max(nxt[u], s.bit_count() + best[u ^ s])
+                if not s:
+                    break
+                s = (s - 1) & u
+        best = nxt
+    return best[full]
+
+
+@st.composite
+def _small_hypergraphs(draw):
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 7))
+    possible = list(combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=12)) if possible else []
+    return canonicalize(edges, n, r)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_hypergraphs(), st.integers(0, 2))
+def test_sparse_part_searches_match_subset_enumeration(h, level):
+    indep = _independent_sets(h)
+    assert alpha(h) == _max_union(1, indep)
+    if h.r == 2:
+        assert alpha2(h) == _max_union(2, indep)
+    assert beta(h, level) == _max_union(1, _degenerate_sets(h, level))
+    assert m_value(h, level).value == _max_union(h.r, _mad_sparse_sets(h, level))
+    for p in range(1, h.r):
+        if 3 ** comb(h.n, p) * comb(h.r, p) <= 200_000:
+            assert b_value(h, p).value == _max_union(comb(h.r, p), _safe_pset_families(h, p))
 
 
 def test_mad_known_values():
@@ -134,7 +229,7 @@ def test_beta_at_zero_is_independence():
         r = rng.choice((2, 3))
         n = rng.randint(r, 8)
         h = random_hypergraph(n, r, rng.randint(0, min(10, comb(n, r))), seed=rng.randrange(10**6))
-        assert beta(h, 0) == alpha(h)
+        assert beta(h, 0) == alpha(h) == _max_union(1, _independent_sets(h))
 
 
 def test_two_independent_parts_equal_m_at_level_zero():
@@ -142,7 +237,7 @@ def test_two_independent_parts_equal_m_at_level_zero():
     for _ in range(20):
         n = rng.randint(2, 8)
         g = random_hypergraph(n, 2, rng.randint(0, min(12, comb(n, 2))), seed=rng.randrange(10**6))
-        assert alpha2(g) == m_value(g, 0).value
+        assert alpha2(g) == m_value(g, 0).value == _max_union(2, _independent_sets(g))
 
 
 def test_m_value_known_instances():
@@ -178,6 +273,19 @@ def test_m_value_budget_carries_partial():
         m_value(complete(10, 2), 1, budget=5)
     assert err.value.best is not None
     assert 0 <= err.value.best <= 10
+
+
+def test_m_value_scans_no_edge_lists(monkeypatch):
+    calls = [0]
+    scan = Hypergraph.edges_inside
+
+    def counted(self, vertices):
+        calls[0] += 1
+        return scan(self, vertices)
+
+    monkeypatch.setattr(Hypergraph, "edges_inside", counted)
+    assert m_value(canonicalize([(0, 1)], 4000, 2), 0).value == 4000
+    assert calls[0] == 0
 
 
 def test_partition_degenerate_examples():

@@ -1,4 +1,5 @@
-"""Source hygiene: every top-level import of a library module is used there."""
+"""Source hygiene: every top-level import of a library module is used there,
+and every private top-level function or class is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,25 @@ def test_top_level_imports_are_used():
                 if name not in used:
                     unused.setdefault(path.name, []).append(name)
     assert unused == {}
+
+
+def test_private_top_level_definitions_are_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    orphans = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert orphans == []

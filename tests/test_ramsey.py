@@ -95,6 +95,9 @@ def test_b_budget_carries_best():
     with pytest.raises(BudgetExceeded) as err:
         b_value(complete(6, 2), 1, budget=5)
     assert err.value.best is not None
+    with pytest.raises(BudgetExceeded) as err:
+        b_value(complete(6, 2), 1, budget=1)
+    assert err.value.best == 0
 
 
 def test_full_family_iff_small_ramsey_chromatic():
