@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable
 
@@ -65,8 +66,6 @@ def mad_bruteforce(h: Hypergraph) -> Fraction:
 def _mad_feasible(h: Hypergraph, value: Fraction):
     """None if Mad(H) <= value, else a vertex set F with r*e(F)/|F| > value."""
     a, b = value.numerator, value.denominator
-    if a < 0:
-        return tuple(h.edges[0]) if h.e else tuple(range(min(1, h.n)))
     flows, witness = saturating_assignment(
         h, range(h.e), {v: a for v in range(h.n)}, supply=h.r * b
     )
@@ -74,41 +73,26 @@ def _mad_feasible(h: Hypergraph, value: Fraction):
 
 
 def mad_exact(h: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact Mad and a vertex set attaining it, via flow feasibility tests.
+    """Exact Mad and the largest vertex set attaining it (Dinkelbach).
 
-    Binary search over rationals: Mad <= a/b exactly when every edge can
-    spread r*b units over its vertices with each vertex absorbing at most
-    a.  Once the bracket is shorter than 1/n^2 it contains a single
-    rational with denominator <= n, which must be the answer.
+    Mad <= a/b exactly when every edge can spread r*b units over its
+    vertices with each vertex absorbing at most a; otherwise the min cut's
+    source side is the smallest set F maximising r*b*e(F) - a*|F|, which
+    is denser than a/b.  Each step moves to that set at its density until
+    the loop's exit certifies Mad <= value, the density of `best`.  The
+    last step ran below Mad, where a densest set D scores |D|*(Mad - value):
+    the largest densest set scores at least as much as the densest `best`, so
+    `best`, the smallest maximiser, is that set (V if no step ran).  Without
+    edges the witness is vertex 0 alone.
     """
-    if h.n == 0:
-        return Fraction(0), ()
     if h.e == 0:
-        return Fraction(0), (0,)
-    n = h.n
-    lo, hi = Fraction(0), Fraction(h.r * h.e)
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        if _mad_feasible(h, mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    value = None
-    for b in range(1, n + 1):
-        a = (hi.numerator * b) // hi.denominator
-        cand = Fraction(a, b)
-        if cand > lo:
-            value = cand
-            break
-    assert value is not None, "bracket must contain a denominator <= n rational"
-    witness = _mad_feasible(h, value - Fraction(1, 2 * n * n))
-    assert witness is not None
-    wf = tuple(sorted(witness))
-    inside = len(h.edges_inside(wf))
-    assert Fraction(h.r * inside, len(wf)) == value
-    assert _mad_feasible(h, value) is None
-    return value, wf
+        return Fraction(0), tuple(range(min(1, h.n)))
+    best = tuple(range(h.n))
+    value = Fraction(h.r * h.e, h.n)
+    while (denser := _mad_feasible(h, value)) is not None:
+        best = tuple(sorted(denser))
+        value = Fraction(h.r * len(h.edges_inside(best)), len(best))
+    return value, best
 
 
 # ------------------------------------------------------ degeneracy and coloring
@@ -123,27 +107,29 @@ def _peel(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, list[int]]:
     """Degeneracy of the sub-hypergraph induced by the given vertices, and
     its min-degree elimination order (lowest index on ties)."""
     alive = set(vertices)
-    inside = [edge for edge in h.edges if alive.issuperset(edge)]
-    deg = dict.fromkeys(alive, 0)
-    incident: dict[int, list[int]] = {v: [] for v in alive}
-    for ei, edge in enumerate(inside):
-        for v in edge:
-            deg[v] += 1
-            incident[v].append(ei)
-    edge_alive = [True] * len(inside)
+    incident: dict[int, list[tuple[int, ...]]] = {v: [] for v in alive}
+    for edge in h.edges:
+        if alive.issuperset(edge):
+            for v in edge:
+                incident[v].append(edge)
+    deg = {v: len(edges) for v, edges in incident.items()}
+    # a sorted list is a heap; an entry left behind by a decrement is stale
+    heap = sorted((d, v) for v, d in deg.items())
     order = []
     dmax = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        dmax = max(dmax, deg[v])
+    while heap:
+        d, v = heappop(heap)
+        if v not in alive or d != deg[v]:
+            continue
+        dmax = max(dmax, d)
         order.append(v)
-        alive.remove(v)
-        for ei in incident[v]:
-            if edge_alive[ei]:
-                edge_alive[ei] = False
-                for u in inside[ei]:
-                    if u in alive:
+        for edge in incident[v]:
+            if alive.issuperset(edge):
+                for u in edge:
+                    if u != v:
                         deg[u] -= 1
+                        heappush(heap, (deg[u], u))
+        alive.remove(v)
     return dmax, order
 
 
@@ -332,31 +318,44 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
                 best, best_parts = used, parts
 
     parts, counts = [0] * q, [0] * q
-    nodes = 0
 
-    def rec(i, used):
-        nonlocal best, best_parts, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best)
-        if used + (n - i) <= best:
-            return
-        if i == n:
-            best, best_parts = used, parts[:]
-            return
+    # depth-first over frames (part index, part before, count before), one per
+    # decided vertex instead of recursion; part index q: the vertex stays out
+    stack: list[tuple[int, int, int]] = []
+    used = nodes = j = 0  # j: next part to try at depth len(stack), 0 on entry
+    while True:
+        i = len(stack)
+        if j == 0:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best)
+            if i == n and used > best:
+                best, best_parts = used, parts[:]
+            if used + (n - i) <= best:
+                while stack:
+                    j, part, count = stack.pop()
+                    if j < q:
+                        parts[j], counts[j] = part, count
+                        used -= 1
+                        j += 1
+                        break
+                else:
+                    break
+                continue
         v = order[i]
-        for j in range(q):
+        while j < q and (j == 0 or parts[j - 1]):
             part, count = parts[j], counts[j]
             grown = grow(part, count, v)
             if grown >= 0:
                 parts[j], counts[j] = part | 1 << v, grown
-                rec(i + 1, used + 1)
-                parts[j], counts[j] = part, count
-            if not part:
+                used += 1
                 break
-        rec(i + 1, used)
+            j += 1
+        else:
+            j, part, count = q, 0, 0
+        stack.append((j, part, count))
+        j = 0
 
-    rec(0, 0)
     return best, tuple(_members(part) for part in best_parts)
 
 

@@ -108,6 +108,13 @@ def test_b_json_coloring_roundtrip(tmp_path, capsys):
     assert len(coloring.colored) == 10
 
 
+def test_b_search_deeper_than_recursion_limit(tmp_path, capsys):
+    src = tmp_path / "h.hg"
+    write_path(canonicalize([(0, 1, 2)], 50, 3), src)
+    assert main(["b", str(src), "--p", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["b"] == 1225
+
+
 def test_chi_r_and_m_outputs(tmp_path, capsys):
     src = tmp_path / "h.hg"
     write_path(complete(6, 3), src)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hyperf import (
     BudgetExceeded,
+    FlowNetwork,
     Hypergraph,
     NotDegenerateEnough,
     alpha,
@@ -157,13 +158,66 @@ def test_mad_exact_agrees_with_enumeration_and_certifies():
         if h.e:
             dens = Fraction(h.r * len(h.edges_inside(witness)), len(witness))
             assert dens == value
+            # the witness is the union of all densest sets
+            union = 0
+            for s, c in enumerate(_edge_counts(h)):
+                if s and Fraction(h.r * c, s.bit_count()) == value:
+                    union |= s
+            assert witness == tuple(v for v in range(n) if union >> v & 1)
         else:
             assert value == 0
+
+
+def _planted_dense_3graph(n, core_size, seed):
+    """A core with 6n/5 triples inside it plus 2n random triples."""
+    rng = random.Random(seed)
+    core = rng.sample(range(n), core_size)
+    inner = set()
+    while len(inner) < 6 * n // 5:
+        inner.add(tuple(sorted(rng.sample(core, 3))))
+    edges = set(inner)
+    while len(edges) < len(inner) + 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(n), 3))))
+    return canonicalize(sorted(edges), n, 3)
+
+
+def test_mad_exact_needs_few_flows(monkeypatch):
+    calls = [0]
+    run = FlowNetwork.max_flow
+
+    def counted(self):
+        calls[0] += 1
+        return run(self)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    h = _planted_dense_3graph(32, 8, seed=4)
+    value, witness = mad_exact(h)
+    assert value == Fraction(h.r * len(h.edges_inside(witness)), len(witness))
+    assert value > Fraction(h.r * h.e, h.n)
+    assert calls[0] <= 4
 
 
 def test_mad_bruteforce_refuses_large_instances():
     with pytest.raises(BudgetExceeded):
         mad_bruteforce(canonicalize([], 21, 2))
+
+
+def test_degeneracy_order_is_min_degree_scan():
+    rng = random.Random(6)
+    for _ in range(60):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(0, 12)
+        m = rng.randint(0, min(25, comb(n, r)))
+        h = random_hypergraph(n, r, m, seed=rng.randrange(10**6)) if n >= r else canonicalize([], n, r)
+        remaining, order, dmax = set(range(n)), [], 0
+        while remaining:
+            inside = [h.edges[i] for i in h.edges_inside(remaining)]
+            deg = {v: sum(1 for edge in inside if v in edge) for v in remaining}
+            v = min(remaining, key=lambda x: (deg[x], x))
+            dmax = max(dmax, deg[v])
+            order.append(v)
+            remaining.remove(v)
+        assert degeneracy(h) == (dmax, order)
 
 
 def test_degeneracy_values_and_order_replay():
@@ -206,6 +260,10 @@ def test_chromatic_budget_bracket():
     with pytest.raises(BudgetExceeded) as err:
         chromatic_exact(_cycle(5), budget=1)
     assert (err.value.lower, err.value.upper) == (2, 3)
+
+
+def test_sparse_parts_search_is_not_bound_by_recursion_depth():
+    assert alpha(canonicalize([(0, 1)], 1200, 2)) == 1199
 
 
 def test_independent_and_degenerate_subsets():
