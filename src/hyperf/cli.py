@@ -218,16 +218,6 @@ def _closed_report(h: Hypergraph, p: int, k: int) -> FReport | None:
     return None
 
 
-def _pick_method(h: Hypergraph, p: int, k: int) -> str:
-    if p == 1 and _closed_report(h, p, k) is not None:
-        return "closed"
-    if p == 1:
-        return "via-m"
-    if k == 1 and p == h.r - 1:
-        return "via-b"
-    return "brute"
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -351,10 +341,17 @@ def _cmd_f(args, budget) -> int:
     h = _read_hypergraph(args.file)
     kw = _budget_kw(budget)
     method = args.method
+    rep = _closed_report(h, args.p, args.k) if method in ("auto", "closed") else None
     if method == "auto":
-        method = _pick_method(h, args.p, args.k)
+        if rep is not None:
+            method = "closed"
+        elif args.p == 1:
+            method = "via-m"
+        elif args.k == 1 and args.p == h.r - 1:
+            method = "via-b"
+        else:
+            method = "brute"
     if method == "closed":
-        rep = _closed_report(h, args.p, args.k)
         if rep is None:
             print("no closed form applies to this instance", file=sys.stderr)
             return EXIT_NEGATIVE

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
 from typing import Iterable
 
 from .hypercore import (
@@ -386,12 +385,11 @@ def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Minimum number of vertices meeting every triangle of a graph."""
     if g.r != 2:
         raise BadParams("hit_triangles is defined for graphs (r=2)")
-    present = set(g.edges)
-    tris = [
-        t
-        for t in combinations(range(g.n), 3)
-        if (t[0], t[1]) in present and (t[0], t[2]) in present and (t[1], t[2]) in present
-    ]
+    later = [set() for _ in range(g.n)]  # the neighbours above each vertex
+    for u, w in g.edges:
+        later[u].add(w)
+    # edges in lexicographic order, third vertex ascending: triangles in lexicographic order
+    tris = [(u, w, x) for u, w in g.edges for x in sorted(later[u] & later[w])]
     if not tris:
         return 0
     best = [len(set(v for t in tris for v in t))]

@@ -23,9 +23,9 @@ from .hypercore import (
     HyperfError,
     Orientation,
     PositionIndex,
+    _touched_vectors,
     ascending_orientation,
     complete,
-    degree_vectors,
     orientation_from_rows,
 )
 from .extremal import (
@@ -105,7 +105,10 @@ def f_count(d: Orientation, p: int, k: int) -> int:
     """Number of p-sets whose coordinates are all >= k under d."""
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
-    return sum(1 for coords in degree_vectors(d, p).values() if min(coords) >= k)
+    touched = _touched_vectors(d, p)
+    if k == 0:
+        return math.comb(d.base.n, p)
+    return sum(1 for coords in touched.values() if min(coords) >= k)
 
 
 def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_SCAN_BUDGET) -> FReport:
@@ -133,26 +136,19 @@ def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_SCAN_BUDGE
             budget_used=1,
         )
     npos = pidx.count
-    psets = list(combinations(range(h.n), p))
-    pid = {a: i for i, a in enumerate(psets)}
-    edge_orders = []
-    edge_updates = []
-    for edge in h.edges:
-        orders = sorted(permutations(edge))
-        ups = []
-        for order in orders:
-            pos = {v: t for t, v in enumerate(order)}
-            ups.append(
-                tuple(
-                    pid[sub] * npos + pidx.rank(tuple(sorted(pos[v] for v in sub)))
-                    for sub in combinations(edge, p)
-                )
-            )
-        edge_orders.append(orders)
-        edge_updates.append(ups)
+    pid: dict[tuple[int, ...], int] = {}  # p-sets inside some edge only
+    edge_orders = [sorted(permutations(edge)) for edge in h.edges]
+    edge_updates = [
+        [
+            tuple(pid.setdefault(a, len(pid)) * npos + rank
+                  for rank, a in enumerate(pidx.placements(order)))
+            for order in orders
+        ]
+        for orders in edge_orders
+    ]
 
-    coords = [0] * (len(psets) * npos)
-    deficit = [npos] * len(psets)
+    coords = [0] * (len(pid) * npos)
+    deficit = [npos] * len(pid)
     state = {"qualified": 0, "best": math.inf, "pick": None, "leaves": 0}
     choice = [0] * h.e
 
@@ -483,17 +479,18 @@ def tset_threshold_q(r: int, p: int, k: int) -> int:
 
 def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE_BUDGET):
     """Lexicographically first t-set whose p-subsets are all everywhere-full
-    at level k, or None when no such t-set exists."""
+    at level k, or None when no such t-set exists.  At k <= 0 every p-set is
+    full; otherwise only p-sets inside some edge can be."""
     h = d.base
     if t < 0:
         raise BadParams(f"t must be >= 0, got {t}")
     if t > h.n:
         return None
-    good = {a for a, coords in degree_vectors(d, p).items() if min(coords) >= k}
+    good = {a for a, coords in _touched_vectors(d, p).items() if min(coords) >= k}
     if t < p:
         return tuple(range(t))
     if p == 1:
-        verts = sorted(v for (v,) in good)
+        verts = [v for v in range(h.n) if k <= 0 or (v,) in good]
         return tuple(verts[:t]) if len(verts) >= t else None
     counter = [0]
 
@@ -506,7 +503,7 @@ def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE
         if len(cur) + (h.n - start) < t:
             return None
         for v in range(start, h.n):
-            if all(tuple(sorted(sub + (v,))) in good for sub in combinations(cur, p - 1)):
+            if k <= 0 or all(tuple(sorted(sub + (v,))) in good for sub in combinations(cur, p - 1)):
                 cur.append(v)
                 res = rec(cur, v + 1)
                 if res is not None:

@@ -174,6 +174,10 @@ class PositionIndex:
             raise BadParams(f"position-set rank {i} out of range 0..{len(self.sets) - 1}")
         return self.sets[i]
 
+    def placements(self, order: Sequence[int]) -> list[tuple[int, ...]]:
+        """The sorted p-set at each position subset of an ordered edge, in rank order."""
+        return [tuple(sorted(order[i] for i in s)) for s in self.sets]
+
 
 @dataclass(frozen=True)
 class Orientation:
@@ -236,27 +240,31 @@ def degree_vector(d: Orientation, pset: Sequence[int]) -> DegreeVector:
     aset = set(a)
     for edge, order in zip(h.edges, d.orders):
         if aset.issubset(edge):
-            positions = tuple(sorted(order.index(v) for v in a))
-            coords[pidx.rank(positions)] += 1
+            coords[pidx.placements(order).index(a)] += 1
     return DegreeVector(a, tuple(coords))
 
 
 def degree_vectors(d: Orientation, p: int) -> dict[tuple[int, ...], list[int]]:
     """Degree vectors of all C(n,p) p-sets, keyed by sorted tuple.
 
-    One pass over the edges; p-sets contained in no edge get all-zero
-    coordinates.
+    p-sets contained in no edge get all-zero coordinates.
     """
+    touched = _touched_vectors(d, p)
+    npos = math.comb(d.base.r, p)
+    return {a: touched.get(a) or [0] * npos for a in combinations(range(d.base.n), p)}
+
+
+def _touched_vectors(d: Orientation, p: int) -> dict[tuple[int, ...], list[int]]:
+    """Degree vectors of the p-sets inside some edge, in one pass over the
+    edges; every other p-set has all-zero coordinates."""
     h = d.base
     if not (1 <= p <= h.r - 1):
         raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
     pidx = PositionIndex(h.r, p)
-    acc = {a: [0] * pidx.count for a in combinations(range(h.n), p)}
+    acc: dict[tuple[int, ...], list[int]] = {}
     for order in d.orders:
-        pos = {v: i for i, v in enumerate(order)}
-        for sub in combinations(sorted(order), p):
-            positions = tuple(sorted(pos[v] for v in sub))
-            acc[sub][pidx.rank(positions)] += 1
+        for rank, a in enumerate(pidx.placements(order)):
+            acc.setdefault(a, [0] * pidx.count)[rank] += 1
     return acc
 
 
@@ -359,9 +367,19 @@ def random_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph:
     if not (0 <= m <= total):
         raise BadParams(f"need 0 <= m <= C({n},{r}) = {total}, got m={m}")
     rng = random.Random(seed)
-    all_edges = list(combinations(range(n), r))
-    picks = sorted(rng.sample(range(total), m))
-    return Hypergraph(n, r, tuple(all_edges[i] for i in picks))
+    edges = []
+    # each pick ranks an r-subset in lexicographic order; unrank it vertex by vertex
+    for rank in sorted(rng.sample(range(total), m)):
+        edge, v = [], 0
+        while len(edge) < r:
+            below = math.comb(n - v - 1, r - len(edge) - 1)  # ranks of the subsets taking v next
+            if rank < below:
+                edge.append(v)
+            else:
+                rank -= below
+            v += 1
+        edges.append(tuple(edge))
+    return Hypergraph(n, r, tuple(edges))
 
 
 GENERATORS = {

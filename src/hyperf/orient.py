@@ -10,7 +10,7 @@ outweigh the joint capacity of F, which is exactly the obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .hypercore import (
@@ -239,21 +239,12 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
             raise BadParams(f"color {c} of {pset} outside 0..{pidx.count - 1}")
     orders = []
     for edge in h.edges:
-        chosen = None
         for cand in permutations(edge):
-            pos = {v: t for t, v in enumerate(cand)}
-            ok = True
-            for sub in combinations(edge, p):
-                c = colored.get(sub)
-                if c is not None and pidx.rank(tuple(sorted(pos[v] for v in sub))) == c:
-                    ok = False
-                    break
-            if ok:
-                chosen = cand
+            if all(colored.get(a) != rank for rank, a in enumerate(pidx.placements(cand))):
+                orders.append(cand)
                 break
-        if chosen is None:
+        else:
             raise StuckEdge(edge)
-        orders.append(chosen)
     return Orientation(h, tuple(orders))
 
 
@@ -266,13 +257,7 @@ def deficiency_coloring(d: Orientation, p: int, k: int) -> dict[tuple[int, ...],
     """
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
-    vecs = degree_vectors(d, p)
-    out = {}
-    for pset, coords in vecs.items():
-        color = len(coords)
-        for i, c in enumerate(coords):
-            if c <= k - 1:
-                color = i
-                break
-        out[pset] = color
-    return out
+    return {
+        pset: next((i for i, c in enumerate(coords) if c <= k - 1), len(coords))
+        for pset, coords in degree_vectors(d, p).items()
+    }

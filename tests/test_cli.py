@@ -17,6 +17,7 @@ from hyperf import (
     to_text,
     write_path,
 )
+import hyperf.cli
 from hyperf.cli import main
 from hyperf.verify import SUITES, CheckResult, VerifySuiteReport
 
@@ -96,6 +97,20 @@ def test_f_auto_recognises_complete_multipartite(tmp_path, capsys):
     write_path(canonicalize(g.edges[1:], g.n, 2), src)
     assert main(["f", str(src), "--k", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[1] != "method: closed"
+
+
+def test_f_auto_checks_the_closed_forms_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    closed_report = hyperf.cli._closed_report
+    monkeypatch.setattr(hyperf.cli, "_closed_report",
+                        lambda *args: calls.append(args) or closed_report(*args))
+    src = tmp_path / "h.hg"
+    for g in (complete_multipartite((3, 2, 2)), complete(5, 2), canonicalize([(0, 1)], 3, 2)):
+        write_path(g, src)
+        calls.clear()
+        assert main(["f", str(src), "--k", "1", "--json"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_b_json_coloring_roundtrip(tmp_path, capsys):

@@ -281,6 +281,11 @@ def test_independent_and_degenerate_subsets():
     assert hit_triangles(_cycle(5)) == 0
 
 
+def test_hit_triangles_finds_triangles_from_the_edges():
+    # one triangle among 2000 vertices: a scan of all vertex triples takes minutes
+    assert hit_triangles(canonicalize([(0, 1), (0, 2), (1, 2)], 2000, 2)) == 1
+
+
 def test_beta_at_zero_is_independence():
     rng = random.Random(8)
     for _ in range(25):

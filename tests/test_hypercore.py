@@ -1,6 +1,7 @@
 """Data-model tests: validation, position indexing, generators, file I/O."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -148,6 +149,16 @@ def test_random_hypergraph_bounds_and_determinism():
     assert (h.n, h.r, h.e) == (8, 3, 12)
     assert h == random_hypergraph(8, 3, 12, seed=3)
     assert h != random_hypergraph(8, 3, 12, seed=4)
+
+
+def test_random_hypergraph_takes_sampled_lexicographic_ranks():
+    for n in range(2, 10):
+        for r in range(2, n + 1):
+            listed = list(combinations(range(n), r))
+            for m in sorted({0, 1, len(listed) // 2, len(listed)}):
+                seed = n * 100 + r * 10 + m
+                picks = sorted(random.Random(seed).sample(range(len(listed)), m))
+                assert random_hypergraph(n, r, m, seed).edges == tuple(listed[i] for i in picks)
 
 
 def test_text_roundtrip_hypergraph():
