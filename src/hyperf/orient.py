@@ -93,7 +93,7 @@ def saturating_assignment(
     if value == supply * ne:
         flows = {}
         for idx, ei in enumerate(edge_ids):
-            flows[ei] = {v: net.flow_on(arc) for v, arc in edge_arcs[idx] if net.flow_on(arc)}
+            flows[ei] = {v: f for v, arc in edge_arcs[idx] if (f := net.flow_on(arc))}
         return flows, None
     side = net.min_cut_source_side()
     witness = tuple(v for v in verts if 1 + ne + vpos[v] in side)
@@ -223,10 +223,13 @@ def _crossing_order(edge, part_of) -> tuple[int, ...]:
 def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
     """Orientation avoiding, for every colored p-set, its color coordinate.
 
-    A p-set colored c must never occupy the rank-c position subset.  Only
-    p = 1 and p = r-1 guarantee a valid ordering of every edge; each edge
-    takes the first of its orderings (ascending-lexicographic scan) with no
-    forbidden placement, and StuckEdge names any edge with none.
+    A p-set colored c must never occupy the rank-c position subset.  Each
+    edge takes the first of its orderings (ascending-lexicographic scan)
+    with no forbidden placement, and StuckEdge names any edge with none.
+    Only p = 1 and p = r-1 are accepted.  They guarantee an ordering of
+    every edge only for colorings in which no fully colored edge is
+    p-monochromatic, such as b_value's; any other coloring may raise
+    StuckEdge.
     """
     if p not in (1, h.r - 1):
         raise BadPSet(f"forbidden-coordinate orientations need p in {{1, r-1}}, got {p}")

@@ -1,5 +1,6 @@
 """Source hygiene: every top-level import of a library module is used there,
-and every private top-level function or class is referenced somewhere."""
+and every private top-level function or class, and every private method,
+is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -25,8 +26,11 @@ def test_top_level_imports_are_used():
     assert unused == {}
 
 
-def test_private_top_level_definitions_are_referenced():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+def _parsed_sources():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced_names(trees):
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -36,12 +40,35 @@ def test_private_top_level_definitions_are_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def test_private_top_level_definitions_are_referenced():
+    trees = _parsed_sources()
+    referenced = _referenced_names(trees)
     orphans = [
         f"{name}:{node.name}"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert orphans == []
+
+
+def test_private_methods_are_referenced():
+    trees = _parsed_sources()
+    referenced = _referenced_names(trees)
+    orphans = [
+        f"{name}:{cls.name}.{node.name}"
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
         and node.name not in referenced
     ]
     assert orphans == []

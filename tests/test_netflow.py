@@ -1,10 +1,15 @@
 """Max-flow kernel tests."""
 
 import random
+from itertools import combinations
+from math import ceil
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_extremal import _planted_dense_3graph
 
-from hyperf import BadParams, FlowNetwork
+from hyperf import BadParams, FlowNetwork, Infeasible, Orientation, mad_exact, orient_max_outdeg
 
 
 def _demo_network():
@@ -63,3 +68,63 @@ def test_add_arc_validates_endpoints():
         net.add_arc(0, 3, 1)
     with pytest.raises(BadParams):
         net.add_arc(0, 1, -2)
+
+
+def test_max_flow_needs_few_phases(monkeypatch):
+    # one augmenting path per edge unit would be about 120 passes a flow
+    h = _planted_dense_3graph(40, 8, seed=4)
+    k = ceil(mad_exact(h)[0] / h.r)
+    phases = []
+    run = FlowNetwork.max_flow
+
+    def counted(self):
+        value = run(self)
+        phases.append(self.phases)
+        return value
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    assert isinstance(orient_max_outdeg(h, k), Orientation)
+    assert isinstance(orient_max_outdeg(h, k - 1), Infeasible)
+    assert len(phases) == 2 and max(phases) <= 8
+
+
+@st.composite
+def _small_networks(draw):
+    nodes = draw(st.integers(2, 7))
+    source, sink = draw(st.lists(st.integers(0, nodes - 1), min_size=2, max_size=2, unique=True))
+    arc = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1), st.integers(0, 4))
+    return nodes, source, sink, draw(st.lists(arc, max_size=14))
+
+
+def _cut_capacity(arcs, side):
+    return sum(cap for u, v, cap in arcs if u in side and v not in side)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_small_networks())
+# parallel, antiparallel and zero-capacity arcs
+@example((4, 0, 3, [(0, 1, 2), (0, 1, 1), (1, 0, 3), (1, 2, 0), (1, 3, 2), (2, 3, 4), (0, 2, 0)]))
+# a sink no arc reaches
+@example((5, 1, 4, [(1, 0, 3), (0, 2, 2), (2, 1, 1), (4, 3, 2)]))
+def test_max_flow_matches_every_cut(network):
+    nodes, source, sink, arcs = network
+    net = FlowNetwork(nodes, source, sink)
+    ids = [net.add_arc(u, v, cap) for u, v, cap in arcs]
+    value = net.max_flow()
+
+    others = [x for x in range(nodes) if x not in (source, sink)]
+    sides = [
+        {source, *extra} for size in range(len(others) + 1) for extra in combinations(others, size)
+    ]
+    best = min(_cut_capacity(arcs, side) for side in sides)
+    assert value == best
+    balance = [0] * nodes
+    for (u, v, cap), a in zip(arcs, ids):
+        flow = net.flow_on(a)
+        assert 0 <= flow <= cap
+        balance[u] -= flow
+        balance[v] += flow
+    assert balance[source] == -value and balance[sink] == value
+    assert all(balance[x] == 0 for x in others)
+    smallest = set.intersection(*(side for side in sides if _cut_capacity(arcs, side) == best))
+    assert net.min_cut_source_side() == smallest
