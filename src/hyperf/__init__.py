@@ -81,7 +81,6 @@ from .fcalc import (
     edge_bound,
     f_bruteforce,
     f_count,
-    f_threshold,
     f_via_m,
     find_tset,
     get_known_threshold,
@@ -97,6 +96,7 @@ from .ramsey import (
     chi_r,
     derived_pset_hypergraph,
     f_p1_exact,
+    f_threshold,
 )
 from .verify import (
     SUITES,

@@ -9,7 +9,9 @@ r disjoint vertex sets whose induced parts all satisfy Mad <= r*k.
 alpha, alpha2, beta, M(H,k) and (in ``ramsey``) b(H,p) are one problem:
 the largest union of q disjoint vertex sets, each with a hereditary
 sparsity property.  ``_sparse_parts`` is the single branch and bound that
-solves it; ``chromatic_exact`` and ``hit_triangles`` are separate searches.
+solves it.  ``chromatic_exact`` runs it once per palette size q (a proper
+q-coloring is q independent sets covering V) and ``hit_triangles`` is n
+minus the independence number of the triangle hypergraph.
 All searches have explicit node budgets and deterministic orderings.
 """
 
@@ -179,8 +181,11 @@ def _greedy_clique(h: Hypergraph) -> int:
 def chromatic_exact(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Smallest number of colors leaving no edge monochromatic.
 
-    Iterative deepening between a cheap lower bound and the greedy upper
-    bound; BudgetExceeded on budget exhaustion carries the proven bracket.
+    A proper q-coloring is q disjoint independent sets covering V, so each
+    q from a cheap lower bound up to the greedy upper bound is one
+    sparse-parts search with q parts, cap 0 and incumbent n - 1.  One
+    budget bounds the nodes of all q together; BudgetExceeded on budget
+    exhaustion carries the proven bracket.
     """
     if h.n == 0:
         return 0
@@ -190,49 +195,19 @@ def chromatic_exact(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     lower = 2
     if h.r == 2:
         lower = max(lower, _greedy_clique(h))
-    counter = [0]
-    for k in range(lower, upper):
+    spent = 0
+    for q in range(lower, upper):
         try:
-            if _exists_coloring(h, k, counter, budget):
-                return k
-        except _BudgetStop:
+            covered, _, nodes = _sparse_parts(h, q, 0, budget - spent, "coloring search",
+                                              incumbent=h.n - 1)
+        except BudgetExceeded:
             raise BudgetExceeded(
-                f"coloring search exceeded {budget} nodes", lower=k, upper=upper
+                f"coloring search exceeded {budget} nodes", lower=q, upper=upper
             ) from None
+        if covered == h.n:
+            return q
+        spent += nodes
     return upper
-
-
-class _BudgetStop(Exception):
-    pass
-
-
-def _exists_coloring(h: Hypergraph, k: int, counter, budget) -> bool:
-    degs = h.degrees()
-    order = sorted(range(h.n), key=lambda v: (-degs[v], v))
-    incident = _incident(h)
-    color: dict[int, int] = {}
-
-    def rec(i, max_used):
-        if i == h.n:
-            return True
-        counter[0] += 1
-        if counter[0] > budget:
-            raise _BudgetStop
-        v = order[i]
-        for c in range(min(k - 1, max_used + 1) + 1):
-            ok = True
-            for ei in incident[v]:
-                if all(color.get(u) == c for u in h.edges[ei] if u != v):
-                    ok = False
-                    break
-            if ok:
-                color[v] = c
-                if rec(i + 1, max(max_used, c)):
-                    return True
-                del color[v]
-        return False
-
-    return rec(0, -1)
 
 
 # ----------------------------------------------- independence-type invariants
@@ -253,7 +228,8 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
-                  exact=None, greedy: bool = False) -> tuple[int, tuple[tuple[int, ...], ...]]:
+                  exact=None, greedy: bool = False,
+                  incumbent: int = 0) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """Largest union of q disjoint vertex sets that are each sparse.
 
     A set S is sparse when it spans at most cap*|S| edges and, if it spans
@@ -268,10 +244,15 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
     joins each nonempty part, then the first empty one (parts fill in
     index order, which breaks their symmetry), and stays out last.  Each
     part is a bitmask with its spanned-edge count; adding v counts the
-    edges v closes, stopping once the count passes the cap.  greedy seeds
-    the incumbent with first-fit passes in search, reversed and index
-    order.  Returns the size and the parts as ascending vertex tuples;
-    BudgetExceeded after `budget` nodes carries the incumbent size.
+    edges v closes, stopping once the count passes the cap.  Only a union
+    larger than `incumbent` is recorded: at n - 1 a vertex that stays out
+    is pruned at once, which leaves a search for q independent sets
+    covering V, i.e. a q-coloring.  greedy seeds the incumbent with
+    first-fit passes in search, reversed and index order.  A union of all
+    n vertices ends the search.  Returns the size (the incumbent, with
+    empty parts, if nothing beats it), the parts as ascending vertex
+    tuples and the nodes expanded; BudgetExceeded after `budget` nodes
+    carries the incumbent size.
     """
     n = h.n
     degs = h.degrees()
@@ -301,7 +282,7 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
             return -1
         return grown
 
-    best, best_parts = 0, [0] * q
+    best, best_parts = incumbent, [0] * q
     if greedy:
         for seq in (order, order[::-1], range(n)):
             parts, counts = [0] * q, [0] * q
@@ -330,6 +311,8 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
                 raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best)
             if i == n and used > best:
                 best, best_parts = used, parts[:]
+                if best == n:
+                    break
             if used + (n - i) <= best:
                 while stack:
                     j, part, count = stack.pop()
@@ -355,7 +338,7 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
         stack.append((j, part, count))
         j = 0
 
-    return best, tuple(_members(part) for part in best_parts)
+    return best, tuple(_members(part) for part in best_parts), nodes
 
 
 def alpha(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -382,7 +365,13 @@ def alpha2(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
 
 
 def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Minimum number of vertices meeting every triangle of a graph."""
+    """Minimum number of vertices meeting every triangle of a graph.
+
+    A vertex set meets every triangle exactly when the rest contains no
+    triangle, so this is n minus the independence number of the 3-uniform
+    hypergraph of g's triangles, found by the sparse-parts search.
+    BudgetExceeded carries the smallest hitting set found as `best`.
+    """
     if g.r != 2:
         raise BadParams("hit_triangles is defined for graphs (r=2)")
     later = [set() for _ in range(g.n)]  # the neighbours above each vertex
@@ -392,26 +381,12 @@ def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     tris = [(u, w, x) for u, w in g.edges for x in sorted(later[u] & later[w])]
     if not tris:
         return 0
-    best = [len(set(v for t in tris for v in t))]
-    counter = [0]
-
-    def rec(chosen):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded(f"triangle hitting search exceeded {budget} nodes")
-        unhit = next((t for t in tris if not chosen.intersection(t)), None)
-        if unhit is None:
-            best[0] = min(best[0], len(chosen))
-            return
-        if len(chosen) + 1 >= best[0]:
-            return
-        for v in unhit:
-            chosen.add(v)
-            rec(chosen)
-            chosen.remove(v)
-
-    rec(set())
-    return best[0]
+    try:
+        free = _sparse_parts(Hypergraph(g.n, 3, tris), 1, 0, budget, "triangle hitting search")[0]
+    except BudgetExceeded as exc:
+        # the engine's incumbent is a triangle-free set; its complement hits every triangle
+        raise BudgetExceeded(str(exc), best=g.n - exc.best) from None
+    return g.n - free
 
 
 # --------------------------------------------------------------- M(H, k)
@@ -444,7 +419,7 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
             ok = cache[part] = flows is not None
         return ok
 
-    value, parts = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)
+    value, parts, _ = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)
     covered = set(v for p in parts for v in p)
     remainder = tuple(v for v in range(h.n) if v not in covered)
     return MValueResult(value, parts, remainder)

@@ -25,7 +25,6 @@ from .hypercore import (
     PositionIndex,
     _touched_vectors,
     ascending_orientation,
-    complete,
     orientation_from_rows,
 )
 from .extremal import (
@@ -427,43 +426,6 @@ class ThresholdResult:
             "scanned": [list(x) for x in self.scanned],
             "skipped": list(self.skipped), "method": self.method,
         }
-
-
-def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_SCAN_BUDGET) -> ThresholdResult:
-    """Smallest n <= n_max with f(n,r,p,k) > 0, by the cheapest exact route.
-
-    p = 1 uses the closed form; p = r-1 with k = 1 goes through the p-set
-    family number b; anything else brute-forces the complete hypergraph.
-    Budget-blown n values are skipped and reported, which voids any
-    "not found up to n_max" reading.
-    """
-    if not (1 <= p <= r - 1) or k < 1 or n_max < 1:
-        raise BadParams(f"bad threshold query r={r} p={p} k={k} n_max={n_max}")
-    scanned = []
-    skipped = []
-    if p == 1:
-        method = "closed-form"
-    elif k == 1 and p == r - 1:
-        method = "via-b"
-    else:
-        method = "brute"
-    for n in range(r, n_max + 1):
-        try:
-            if method == "closed-form":
-                val = closed_form_complete(n, r, k)
-            elif method == "via-b":
-                from .ramsey import b_value
-
-                val = math.comb(n, p) - b_value(complete(n, r), p, budget).value
-            else:
-                val = f_bruteforce(complete(n, r), p, k, budget).value
-        except BudgetExceeded:
-            skipped.append(n)
-            continue
-        scanned.append((n, val))
-        if val > 0:
-            return ThresholdResult(r, p, k, n, tuple(scanned), tuple(skipped), method)
-    return ThresholdResult(r, p, k, None, tuple(scanned), tuple(skipped), method)
 
 
 def tset_threshold_q(r: int, p: int, k: int) -> int:

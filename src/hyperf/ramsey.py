@@ -6,6 +6,8 @@ no p-monochromatic edge.  b(H,p) caps the palette at C(r,p) colors but
 lets p-sets stay uncolored, and asks for the most colored p-sets such
 that no fully colored edge is p-monochromatic; a maximum family yields,
 for p in {1, r-1}, an orientation showing f(H,p,1) = C(n,p) - b(H,p).
+f_threshold finds the smallest complete hypergraph with f > 0, through b
+where that identity applies.
 """
 
 from __future__ import annotations
@@ -18,11 +20,20 @@ from .hypercore import (
     DEFAULT_NODE_BUDGET,
     BadParams,
     BadPSet,
+    BudgetExceeded,
     Hypergraph,
     canonicalize,
+    complete,
 )
 from .extremal import _sparse_parts, chromatic_exact
-from .fcalc import FReport, f_count
+from .fcalc import (
+    DEFAULT_SCAN_BUDGET,
+    FReport,
+    ThresholdResult,
+    closed_form_complete,
+    f_bruteforce,
+    f_count,
+)
 from .orient import orient_forbidden
 
 
@@ -104,10 +115,45 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     colors first, then the next new color, and uncolored last.
     """
     derived = derived_pset_hypergraph(h, p)
-    value, classes = _sparse_parts(derived, derived.r, 0, budget, "b search")
+    value, classes, _ = _sparse_parts(derived, derived.r, 0, budget, "b search")
     psets = list(combinations(range(h.n), p))
     colored = {psets[a]: c for c, members in enumerate(classes) for a in members}
     return BValueResult(value, PSetColoring(p, derived.r, colored))
+
+
+def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_SCAN_BUDGET) -> ThresholdResult:
+    """Smallest n <= n_max with f(n,r,p,k) > 0, by the cheapest exact route.
+
+    p = 1 uses the closed form; p = r-1 with k = 1 goes through the p-set
+    family number b; anything else brute-forces the complete hypergraph.
+    Budget-blown n values are skipped and reported, which voids any
+    "not found up to n_max" reading.
+    """
+    if not (1 <= p <= r - 1) or k < 1 or n_max < 1:
+        raise BadParams(f"bad threshold query r={r} p={p} k={k} n_max={n_max}")
+    scanned = []
+    skipped = []
+    if p == 1:
+        method = "closed-form"
+    elif k == 1 and p == r - 1:
+        method = "via-b"
+    else:
+        method = "brute"
+    for n in range(r, n_max + 1):
+        try:
+            if method == "closed-form":
+                val = closed_form_complete(n, r, k)
+            elif method == "via-b":
+                val = math.comb(n, p) - b_value(complete(n, r), p, budget).value
+            else:
+                val = f_bruteforce(complete(n, r), p, k, budget).value
+        except BudgetExceeded:
+            skipped.append(n)
+            continue
+        scanned.append((n, val))
+        if val > 0:
+            return ThresholdResult(r, p, k, n, tuple(scanned), tuple(skipped), method)
+    return ThresholdResult(r, p, k, None, tuple(scanned), tuple(skipped), method)
 
 
 def f_p1_exact(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperf import extremal
 from hyperf import (
     BudgetExceeded,
     FlowNetwork,
@@ -133,6 +134,12 @@ def test_sparse_part_searches_match_subset_enumeration(h, level):
     for p in range(1, h.r):
         if 3 ** comb(h.n, p) * comb(h.r, p) <= 200_000:
             assert b_value(h, p).value == _max_union(comb(h.r, p), _safe_pset_families(h, p))
+    assert chromatic_exact(h) == next(q for q in range(h.n + 1) if _max_union(q, indep) == h.n)
+    if h.r == 2:
+        edges = set(h.edges)
+        tris = [t for t in combinations(range(h.n), 3) if set(combinations(t, 2)) <= edges]
+        triangles = canonicalize(tris, h.n, 3)
+        assert hit_triangles(h) == h.n - _max_union(1, _independent_sets(triangles))
 
 
 def test_mad_known_values():
@@ -256,14 +263,38 @@ def test_chromatic_exact_values():
     assert chromatic_exact(canonicalize([], 4, 2)) == 1
 
 
-def test_chromatic_budget_bracket():
+def test_chromatic_budget_bracket(monkeypatch):
     with pytest.raises(BudgetExceeded) as err:
         chromatic_exact(_cycle(5), budget=1)
     assert (err.value.lower, err.value.upper) == (2, 3)
 
+    # one budget bounds the nodes summed over every palette size tried
+    nodes = []
+    search = extremal._sparse_parts
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        nodes.append(result[2])
+        return result
+
+    monkeypatch.setattr(extremal, "_sparse_parts", counted)
+    h = random_hypergraph(7, 3, 29, seed=152)
+    assert chromatic_exact(h) == 3
+    assert len(nodes) == 2  # two colors fail, three succeed
+    assert nodes[1] == h.n + 1  # the first descent colors V, and the search stops there
+    total = sum(nodes)
+    assert chromatic_exact(h, budget=total) == 3
+    with pytest.raises(BudgetExceeded) as err:
+        chromatic_exact(h, budget=total - 1)
+    assert (err.value.lower, err.value.upper) == (3, 4)
+
 
 def test_sparse_parts_search_is_not_bound_by_recursion_depth():
     assert alpha(canonicalize([(0, 1)], 1200, 2)) == 1199
+
+
+def test_chromatic_search_is_not_bound_by_recursion_depth():
+    assert chromatic_exact(_cycle(1201)) == 3
 
 
 def test_independent_and_degenerate_subsets():
@@ -284,6 +315,10 @@ def test_independent_and_degenerate_subsets():
 def test_hit_triangles_finds_triangles_from_the_edges():
     # one triangle among 2000 vertices: a scan of all vertex triples takes minutes
     assert hit_triangles(canonicalize([(0, 1), (0, 2), (1, 2)], 2000, 2)) == 1
+    # out of budget, best is the smallest hitting set found, not the search's incumbent
+    with pytest.raises(BudgetExceeded) as err:
+        hit_triangles(complete(5, 2), budget=6)
+    assert err.value.best == 3
 
 
 def test_beta_at_zero_is_independence():

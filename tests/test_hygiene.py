@@ -1,6 +1,6 @@
 """Source hygiene: every top-level import of a library module is used there,
-and every private top-level function or class, and every private method,
-is referenced somewhere."""
+no function imports anything, and every private top-level function or
+class, and every private method, is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -28,6 +28,19 @@ def test_top_level_imports_are_used():
 
 def _parsed_sources():
     return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_function_local_imports():
+    # a function-local import is how an import cycle gets papered over
+    local = [
+        f"{name}:{func.name}"
+        for name, tree in _parsed_sources().items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []
 
 
 def _referenced_names(trees):

@@ -5,11 +5,14 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperf import (
     BadParams,
     DuplicateEdge,
     Hypergraph,
+    HyperfError,
     FormatError,
     Orientation,
     PositionIndex,
@@ -187,6 +190,39 @@ def test_from_text_rejects_malformed_input():
         from_text("hypergraph n=3 r=2\nx 0 1\n")
     with pytest.raises(FormatError):
         from_text("hypergraph n=3\n")
+
+
+_HEADER = st.builds(
+    "{} n={} r={}".format,
+    st.sampled_from(["hypergraph", "oriented", "net", ""]),
+    st.one_of(st.integers(-2, 7), st.sampled_from(["", "x", "1.5", "0x3"])),
+    st.one_of(st.integers(-1, 5), st.sampled_from(["", "r", "2 3"])),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["e", "o", "x", "n=", "r=", "=", "-", "#", "1e3", "\t"]),
+    st.integers(-3, 9).map(str),
+    st.text(max_size=4),
+)
+_LINE = st.one_of(
+    _HEADER,
+    st.builds(
+        lambda tag, vertices: " ".join([tag, *map(str, vertices)]),
+        st.sampled_from(["e", "o"]),
+        st.lists(st.integers(-1, 7), max_size=5),
+    ),
+    st.text(max_size=8).map("# {}".format),
+    st.lists(_JUNK, max_size=5).map(" ".join),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_HEADER, st.lists(_LINE, max_size=8))
+def test_from_text_never_crashes(header, lines):
+    try:
+        obj = from_text("\n".join([header, *lines]))
+    except HyperfError:
+        return
+    assert isinstance(obj, (Hypergraph, Orientation))
 
 
 def test_write_and_read_path(tmp_path):
