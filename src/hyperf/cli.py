@@ -450,7 +450,7 @@ def _cmd_tset(args, budget) -> int:
 
 
 def _cmd_pack(args, budget) -> int:
-    result = packing_bound(args.n, args.r, args.p, args.k, m=args.m)
+    result = packing_bound(args.n, args.r, args.p, args.k, m=args.m, **_budget_kw(budget))
     if args.json:
         _emit_json(result.to_dict())
     else:

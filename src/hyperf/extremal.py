@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from typing import Iterable
 
@@ -245,9 +246,11 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
     index order, which breaks their symmetry), and stays out last.  Each
     part is a bitmask with its spanned-edge count; adding v counts the
     edges v closes, stopping once the count passes the cap.  Only a union
-    larger than `incumbent` is recorded: at n - 1 a vertex that stays out
-    is pruned at once, which leaves a search for q independent sets
-    covering V, i.e. a q-coloring.  greedy seeds the incumbent with
+    larger than `incumbent` is recorded, and a vertex stays out only while
+    the rest could still beat it: at n - 1 none ever does, which leaves a
+    search for q independent sets covering V, i.e. a q-coloring.  A
+    stay-out child that the bound prunes is not visited and not counted as
+    a node.  greedy seeds the incumbent with
     first-fit passes in search, reversed and index order.  A union of all
     n vertices ends the search.  Returns the size (the incumbent, with
     empty parts, if nothing beats it), the parts as ascending vertex
@@ -305,6 +308,7 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
     used = nodes = j = 0  # j: next part to try at depth len(stack), 0 on entry
     while True:
         i = len(stack)
+        dead = False
         if j == 0:
             nodes += 1
             if nodes > budget:
@@ -313,30 +317,34 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
                 best, best_parts = used, parts[:]
                 if best == n:
                     break
-            if used + (n - i) <= best:
-                while stack:
-                    j, part, count = stack.pop()
-                    if j < q:
-                        parts[j], counts[j] = part, count
-                        used -= 1
-                        j += 1
-                        break
-                else:
+            dead = used + (n - i) <= best
+        if not dead:
+            v = order[i]
+            while j < q and (j == 0 or parts[j - 1]):
+                part, count = parts[j], counts[j]
+                grown = grow(part, count, v)
+                if grown >= 0:
+                    parts[j], counts[j] = part | 1 << v, grown
+                    used += 1
                     break
+                j += 1
+            else:
+                j, part, count = q, 0, 0
+                # a stay-out child that cannot beat best is pruned unvisited
+                dead = used + (n - i - 1) <= best
+            if not dead:
+                stack.append((j, part, count))
+                j = 0
                 continue
-        v = order[i]
-        while j < q and (j == 0 or parts[j - 1]):
-            part, count = parts[j], counts[j]
-            grown = grow(part, count, v)
-            if grown >= 0:
-                parts[j], counts[j] = part | 1 << v, grown
-                used += 1
+        while stack:
+            j, part, count = stack.pop()
+            if j < q:
+                parts[j], counts[j] = part, count
+                used -= 1
+                j += 1
                 break
-            j += 1
         else:
-            j, part, count = q, 0, 0
-        stack.append((j, part, count))
-        j = 0
+            break
 
     return best, tuple(_members(part) for part in best_parts), nodes
 
@@ -399,26 +407,78 @@ class MValueResult:
     remainder: tuple[int, ...]
 
 
+def _hakimi_oracle(h: Hypergraph, k: int):
+    """A test of vertex sets S (bitmasks): does every subset F of S span at
+    most k*|F| edges, i.e. is Mad(S) <= r*k?
+
+    By Hakimi's theorem that holds exactly when the edges inside S can each
+    be given one of their vertices with no vertex given more than k.  The
+    test keeps `owner`, the vertex each edge was last given, across calls:
+    an edge inside S keeps its owner while that vertex has room and is
+    otherwise placed by a breadth-first reorientation path, which moves
+    edges from full vertices to other vertices of those edges until it
+    reaches a vertex with room.  An owner is always a vertex of its edge,
+    so it lies in S whenever the edge does: an owner left stale by another
+    set or by backtracking costs at most a repair, never a wrong answer.
+    Answers are cached per set.
+    """
+    edges = h.edges
+    edge_masks = [_mask(edge) for edge in edges]
+    owner = [edge[0] for edge in edges]
+
+    @cache
+    def sparse(mask):
+        held = {v: [] for v in _members(mask)}
+        loose = []
+        for ei, em in enumerate(edge_masks):
+            if em & mask == em:
+                got = held[owner[ei]]
+                if len(got) < k:
+                    got.append(ei)
+                else:
+                    loose.append(ei)
+        for ei in loose:
+            # via[w] = (edge that moves to w, vertex it leaves or -1 for ei)
+            via = {v: (ei, -1) for v in edges[ei]}
+            queue = list(via)
+            for w in queue:
+                if len(held[w]) < k:
+                    while True:
+                        f, u = via[w]
+                        owner[f] = w
+                        held[w].append(f)
+                        if u < 0:
+                            break
+                        held[u].remove(f)
+                        w = u
+                    break
+                for f in held[w]:
+                    for x in edges[f]:
+                        if x not in via:
+                            via[x] = (f, w)
+                            queue.append(x)
+            else:
+                # Every vertex of the reached set R is full, and each edge a
+                # vertex of R holds lies inside R (its vertices were reached),
+                # as does ei: e(R) >= k*|R| + 1, so S is not sparse.
+                return False
+        return True
+
+    return sparse
+
+
 def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueResult:
     """M(H,k): largest union of r disjoint parts, each with Mad <= r*k.
 
     The sparse-parts search with cap k, seeded by three greedy passes.  A
-    part spanning at most k*|part| edges is tested exactly by a cached
-    flow; Mad only grows with the set, so a failed part is never extended.
+    part spanning at most k*|part| edges is tested exactly by
+    `_hakimi_oracle`'s warm-started reorientation; Mad only grows with the
+    set, so a failed part is never extended.  At k = 0 no part spans an
+    edge, so no test is built.
     """
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
-    edge_masks = [_mask(edge) for edge in h.edges]
-    cache: dict[int, bool] = {}
-
-    def mad_ok(part):
-        ok = cache.get(part)
-        if ok is None:
-            ids = [ei for ei, mask in enumerate(edge_masks) if mask & part == mask]
-            flows, _ = saturating_assignment(h, ids, dict.fromkeys(_members(part), k))
-            ok = cache[part] = flows is not None
-        return ok
-
+    mad_ok = _hakimi_oracle(h, k) if k > 0 else None
     value, parts, _ = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)
     covered = set(v for p in parts for v in p)
     remainder = tuple(v for v in range(h.n) if v not in covered)

@@ -489,16 +489,27 @@ class PackingResult:
         return {"m": self.m, "blocks": [list(b) for b in self.blocks], "count": self.count}
 
 
-def greedy_packing(n: int, m: int, p: int) -> list[tuple[int, ...]]:
+def greedy_packing(n: int, m: int, p: int,
+                   budget: int = DEFAULT_SCAN_BUDGET) -> list[tuple[int, ...]]:
     """Greedy lexicographic m-set packing: accept a block when none of its
-    p-subsets appears in an earlier accepted block."""
+    p-subsets appears in an earlier accepted block.
+
+    At p = 1 the accepted blocks are the floor(n/m) runs of m consecutive
+    vertices, returned without a scan.  Otherwise the scan visits blocks in
+    lexicographic order; BudgetExceeded after `budget` blocks carries the
+    number accepted so far as `best`.
+    """
     if not (1 <= p <= m):
         raise BadParams(f"need 1 <= p <= m, got p={p} m={m}")
     if n < 0:
         raise BadParams(f"n must be >= 0, got {n}")
+    if p == 1:
+        return [tuple(range(start, start + m)) for start in range(0, n - m + 1, m)]
     used = set()
     blocks = []
-    for block in combinations(range(n), m):
+    for scanned, block in enumerate(combinations(range(n), m), 1):
+        if scanned > budget:
+            raise BudgetExceeded(f"packing scan exceeded {budget} blocks", best=len(blocks))
         subs = list(combinations(block, p))
         if all(s not in used for s in subs):
             blocks.append(block)
@@ -506,11 +517,12 @@ def greedy_packing(n: int, m: int, p: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def packing_bound(n: int, r: int, p: int, k: int, m: int | None = None) -> PackingResult:
+def packing_bound(n: int, r: int, p: int, k: int, m: int | None = None,
+                  budget: int = DEFAULT_SCAN_BUDGET) -> PackingResult:
     """Packing lower bound on f(n,r,p,k): each block of a greedy packing by
     m-sets, m = f(r,p,k), must contain an everywhere-full p-set, and blocks
     share none.  m is resolved from the closed form (p=1) or the recorded
-    exact table unless given."""
+    exact table unless given; `budget` bounds greedy_packing's scan."""
     if m is None:
         if p == 1:
             m = r * complete_part_size(r, k) + 1
@@ -521,5 +533,5 @@ def packing_bound(n: int, r: int, p: int, k: int, m: int | None = None) -> Packi
                     f"f({r},{p},{k}) is neither computable here nor recorded exactly"
                 )
             m = known[0]
-    blocks = greedy_packing(n, m, p)
+    blocks = greedy_packing(n, m, p, budget)
     return PackingResult(m, tuple(blocks), len(blocks))

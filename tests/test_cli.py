@@ -174,6 +174,14 @@ def test_pack_fano_block_count(capsys):
     assert main(["pack", "--n", "6", "--r", "4", "--p", "2", "--k", "3"]) == 2
 
 
+def test_pack_honours_the_budget(capsys):
+    # the p = 2 scan of C(40, 17) blocks stops after 1000 of them
+    assert main(["pack", "--n", "40", "--r", "3", "--p", "2", "--k", "1", "--budget", "1000"]) == 3
+    assert "best found: 1" in capsys.readouterr().err
+    assert main(["pack", "--n", "40", "--r", "3", "--p", "1", "--k", "1", "--budget", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "5"
+
+
 def test_missing_file_is_exit_one(capsys):
     assert main(["mad", "definitely-not-here.hg"]) == 1
 

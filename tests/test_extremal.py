@@ -21,6 +21,7 @@ from hyperf import (
     b_value,
     beta,
     canonicalize,
+    chi_r,
     chromatic_exact,
     complete,
     complete_multipartite,
@@ -33,6 +34,7 @@ from hyperf import (
     random_hypergraph,
     szekeres_wilf_coloring,
 )
+from hyperf.orient import saturating_assignment
 
 
 def _cycle(n):
@@ -293,6 +295,15 @@ def test_sparse_parts_search_is_not_bound_by_recursion_depth():
     assert alpha(canonicalize([(0, 1)], 1200, 2)) == 1199
 
 
+def test_coloring_search_visits_no_stay_out_dead_end():
+    # a vertex that can join no color would stay out, which the incumbent
+    # n - 1 prunes at once: such a child is neither visited nor counted
+    assert chi_r(complete(7, 3), 2, budget=2435) == 3
+    with pytest.raises(BudgetExceeded) as err:
+        chi_r(complete(7, 3), 2, budget=2434)
+    assert (err.value.lower, err.value.upper) == (3, 6)
+
+
 def test_chromatic_search_is_not_bound_by_recursion_depth():
     assert chromatic_exact(_cycle(1201)) == 3
 
@@ -371,6 +382,55 @@ def test_m_value_budget_carries_partial():
         m_value(complete(10, 2), 1, budget=5)
     assert err.value.best is not None
     assert 0 <= err.value.best <= 10
+
+
+def test_hakimi_oracle_matches_a_flow_on_every_mask():
+    """One oracle instance, driven over a mask sequence that grows,
+    shrinks and jumps, so that it starts from stale owners, answers as a
+    fresh saturating flow does."""
+    rng = random.Random(21)
+    answers = {True: 0, False: 0}
+    for _ in range(80):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r, 10)
+        top = comb(n, r)
+        m = rng.randint(top // 3, top) if rng.random() < 0.5 else rng.randint(0, min(top, 2 * n))
+        h = random_hypergraph(n, r, m, seed=rng.randrange(10**6))
+        k = rng.randint(1, 3)
+        sparse = extremal._hakimi_oracle(h, k)
+        mask = 0
+        for _ in range(30):
+            step = rng.random()
+            if step < 0.3:
+                mask |= 1 << rng.randrange(n)
+            elif step < 0.5:
+                mask &= ~(1 << rng.randrange(n))
+            elif step < 0.8:
+                mask = rng.randrange(1 << n) | rng.randrange(1 << n)
+            members = [v for v in range(n) if mask >> v & 1]
+            ids = [ei for ei, edge in enumerate(h.edges) if all(mask >> v & 1 for v in edge)]
+            want = saturating_assignment(h, ids, dict.fromkeys(members, k))[0] is not None
+            assert sparse(mask) == want, (h, k, mask)
+            answers[want] += 1
+    assert min(answers.values()) >= 300
+
+
+def test_m_value_runs_no_max_flow(monkeypatch):
+    calls = [0]
+    run = FlowNetwork.max_flow
+
+    def counted(self):
+        calls[0] += 1
+        return run(self)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    assert m_value(complete(10, 2), 1).value == 6
+    g = random_hypergraph(16, 2, 60, seed=3)
+    for k in (1, 2):
+        res = m_value(g, k)
+        for part in res.parts:
+            assert len(g.edges_inside(part)) <= k * len(part)
+    assert calls[0] == 0
 
 
 def test_m_value_scans_no_edge_lists(monkeypatch):

@@ -216,6 +216,30 @@ def test_greedy_packing_disjoint_when_p_is_one():
         greedy_packing(5, 2, 3)
 
 
+def test_greedy_packing_at_p_one_scans_no_blocks():
+    # p = 1 packs disjoint blocks: the lexicographic scan accepts consecutive runs
+    for n in range(10):
+        for m in range(1, 5):
+            scanned, covered = [], set()
+            for block in itertools.combinations(range(n), m):
+                if covered.isdisjoint(block):
+                    scanned.append(block)
+                    covered.update(block)
+            assert greedy_packing(n, m, 1, budget=0) == scanned
+    # C(40, 7) blocks would take minutes to scan
+    assert greedy_packing(40, 7, 1, budget=0) == [tuple(range(s, s + 7)) for s in range(0, 35, 7)]
+
+
+def test_greedy_packing_budget_counts_blocks_scanned():
+    assert len(greedy_packing(7, 3, 2, budget=comb(7, 3))) == 7
+    with pytest.raises(BudgetExceeded) as err:
+        greedy_packing(7, 3, 2, budget=comb(7, 3) - 1)
+    assert err.value.best == 7
+    with pytest.raises(BudgetExceeded) as err:
+        packing_bound(40, 3, 2, 1, budget=1000)
+    assert err.value.best == 1
+
+
 def test_packing_bound_threshold_lookup():
     res = packing_bound(10, 3, 1, 1)
     assert (res.m, res.count) == (7, 1)
