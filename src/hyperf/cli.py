@@ -228,7 +228,10 @@ def _cmd_gen(args, budget) -> int:
         h = generate(family, n=args.n, r=args.r)
     elif family == "multipartite":
         _require(args, "sizes")
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise _UsageError(f"hyperf gen multipartite: bad --sizes {args.sizes!r}") from None
         h = generate(family, sizes=sizes)
     elif family == "mop-fan":
         _require(args, "n")
@@ -330,10 +333,13 @@ def _read_budget_file(path) -> dict:
             try:
                 if len(fields) != 2:
                     raise ValueError
-                caps[int(fields[0])] = int(fields[1])
+                v, cap = int(fields[0]), int(fields[1])
             except ValueError:
                 raise _UsageError(
                     f"{path}:{lineno}: expected 'vertex cap', got {raw.strip()!r}")
+            if v in caps:
+                raise _UsageError(f"{path}:{lineno}: vertex {v} already has a cap")
+            caps[v] = cap
     return caps
 
 

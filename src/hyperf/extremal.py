@@ -30,7 +30,8 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
 )
-from .orient import saturating_assignment
+from .netflow import FlowNetwork
+from .orient import _reorient
 
 
 class NotDegenerateEnough(HyperfError):
@@ -66,12 +67,23 @@ def mad_bruteforce(h: Hypergraph) -> Fraction:
 
 
 def _mad_feasible(h: Hypergraph, value: Fraction):
-    """None if Mad(H) <= value, else a vertex set F with r*e(F)/|F| > value."""
+    """None if Mad(H) <= value = a/b, else a vertex set F with r*e(F)/|F| >
+    value: the min cut's vertices when each edge ships r*b units into its
+    vertices and each vertex absorbs at most a."""
     a, b = value.numerator, value.denominator
-    flows, witness = saturating_assignment(
-        h, range(h.e), {v: a for v in range(h.n)}, supply=h.r * b
-    )
-    return None if flows is not None else witness
+    supply = h.r * b
+    vertex0, sink = 1 + h.e, 1 + h.e + h.n
+    net = FlowNetwork(sink + 1, 0, sink)
+    for ei, edge in enumerate(h.edges):
+        net.add_arc(0, 1 + ei, supply)
+        for v in edge:
+            net.add_arc(1 + ei, vertex0 + v, supply)
+    for v in range(h.n):
+        net.add_arc(vertex0 + v, sink, a)
+    if net.max_flow() == supply * h.e:
+        return None
+    side = net.min_cut_source_side()
+    return tuple(v for v in range(h.n) if vertex0 + v in side)
 
 
 def mad_exact(h: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
@@ -411,58 +423,23 @@ def _hakimi_oracle(h: Hypergraph, k: int):
     """A test of vertex sets S (bitmasks): does every subset F of S span at
     most k*|F| edges, i.e. is Mad(S) <= r*k?
 
-    By Hakimi's theorem that holds exactly when the edges inside S can each
-    be given one of their vertices with no vertex given more than k.  The
-    test keeps `owner`, the vertex each edge was last given, across calls:
-    an edge inside S keeps its owner while that vertex has room and is
-    otherwise placed by a breadth-first reorientation path, which moves
-    edges from full vertices to other vertices of those edges until it
-    reaches a vertex with room.  An owner is always a vertex of its edge,
-    so it lies in S whenever the edge does: an owner left stale by another
-    set or by backtracking costs at most a repair, never a wrong answer.
-    Answers are cached per set.
+    By Hakimi's theorem that holds exactly when `orient._reorient` gives
+    each edge inside S one of its vertices with no vertex given more than
+    k.  The test keeps `owner`, the vertex each edge was last given,
+    across calls.  An owner is always a vertex of its edge, so it lies in
+    S whenever the edge does: an owner left stale by another set or by
+    backtracking costs at most a repair, never a wrong answer.  Answers
+    are cached per set.
     """
     edges = h.edges
     edge_masks = [_mask(edge) for edge in edges]
+    caps = [k] * h.n
     owner = [edge[0] for edge in edges]
 
     @cache
     def sparse(mask):
-        held = {v: [] for v in _members(mask)}
-        loose = []
-        for ei, em in enumerate(edge_masks):
-            if em & mask == em:
-                got = held[owner[ei]]
-                if len(got) < k:
-                    got.append(ei)
-                else:
-                    loose.append(ei)
-        for ei in loose:
-            # via[w] = (edge that moves to w, vertex it leaves or -1 for ei)
-            via = {v: (ei, -1) for v in edges[ei]}
-            queue = list(via)
-            for w in queue:
-                if len(held[w]) < k:
-                    while True:
-                        f, u = via[w]
-                        owner[f] = w
-                        held[w].append(f)
-                        if u < 0:
-                            break
-                        held[u].remove(f)
-                        w = u
-                    break
-                for f in held[w]:
-                    for x in edges[f]:
-                        if x not in via:
-                            via[x] = (f, w)
-                            queue.append(x)
-            else:
-                # Every vertex of the reached set R is full, and each edge a
-                # vertex of R holds lies inside R (its vertices were reached),
-                # as does ei: e(R) >= k*|R| + 1, so S is not sparse.
-                return False
-        return True
+        inside = [ei for ei, em in enumerate(edge_masks) if em & mask == em]
+        return not _reorient(edges, inside, caps, owner)
 
     return sparse
 

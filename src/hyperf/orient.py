@@ -1,10 +1,12 @@
 """Constructing orientations with bounded or forbidden coordinates.
 
-The workhorse is a flow kernel: every edge must ship its supply to the
-vertices it contains, and each vertex has an absorption cap.  Saturation
-is equivalent to the existence of an orientation whose position-0 degrees
-respect the caps; a failed run yields a vertex set F whose induced edges
-outweigh the joint capacity of F, which is exactly the obstruction.
+Bounded position-0 degrees are Hakimi's theorem: an orientation putting
+each vertex v first in at most caps(v) edges exists exactly when every
+vertex set F spans at most caps(F) edges.  ``_reorient`` is its
+constructive side: it gives each edge one of its vertices, repairs
+overloads along breadth-first reorientation paths, and otherwise returns
+the smallest F with the most edges over its capacity, which is exactly
+the obstruction.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .hypercore import (
     PositionIndex,
     degree_vectors,
 )
-from .netflow import FlowNetwork
 
 
 class BudgetDomainMismatch(HyperfError):
@@ -55,49 +56,54 @@ class Infeasible:
     capacity: int
 
 
-def saturating_assignment(
-    h: Hypergraph,
-    edge_ids: Sequence[int],
-    vertex_caps: Mapping[int, int],
-    supply: int = 1,
-):
-    """Ship `supply` units from each listed edge into its vertices.
+def _reorient(edges, edge_ids, caps, owner) -> set[int]:
+    """Give each listed edge one of its vertices, at most caps[v] per vertex v.
 
-    Vertex v absorbs at most vertex_caps[v]; listed edges must live inside
-    the cap domain.  Returns (flows, None) on saturation, where flows maps
-    edge id -> {vertex: units}, else (None, witness) with witness a vertex
-    set F satisfying supply * e(F) > sum of caps over F.
+    owner[ei], a vertex of edges[ei], is mended in place.  An edge keeps its
+    owner while that vertex has room; any other edge is placed along a
+    breadth-first reorientation path, which moves edges from full vertices
+    to other vertices of those edges until one has room.  A search with no
+    path reached a set R of full vertices holding only edges inside R (their
+    vertices were reached), as the searched edge is.  R is marked dead and
+    later searches skip it, losing no path (from R only R is reached) and
+    never changing R.  The union D of the dead sets is returned, empty when
+    every edge was placed: no vertex of D has room, and D is what the
+    unplaced edges reach through the edges its vertices hold, i.e. the
+    residual-reachable set of a maximum flow from edges into capped
+    vertices.  So D is the unique smallest F maximizing e(F) - caps(F).
     """
-    verts = sorted(vertex_caps)
-    for v, cap in vertex_caps.items():
-        if cap < 0:
-            raise BadParams(f"negative cap {cap} for vertex {v}")
-    vpos = {v: i for i, v in enumerate(verts)}
-    ne = len(edge_ids)
-    source = 0
-    sink = 1 + ne + len(verts)
-    net = FlowNetwork(sink + 1, source, sink)
-    big = supply * ne + 1
-    edge_arcs = []
-    for idx, ei in enumerate(edge_ids):
-        net.add_arc(source, 1 + idx, supply)
-        arcs = []
-        for v in h.edges[ei]:
-            if v not in vpos:
-                raise BadParams(f"edge {h.edges[ei]} leaves the cap domain")
-            arcs.append((v, net.add_arc(1 + idx, 1 + ne + vpos[v], big)))
-        edge_arcs.append(arcs)
-    for v in verts:
-        net.add_arc(1 + ne + vpos[v], sink, vertex_caps[v])
-    value = net.max_flow()
-    if value == supply * ne:
-        flows = {}
-        for idx, ei in enumerate(edge_ids):
-            flows[ei] = {v: f for v, arc in edge_arcs[idx] if (f := net.flow_on(arc))}
-        return flows, None
-    side = net.min_cut_source_side()
-    witness = tuple(v for v in verts if 1 + ne + vpos[v] in side)
-    return None, witness
+    held = [[] for _ in caps]
+    loose = []
+    for ei in edge_ids:
+        v = owner[ei]
+        if len(held[v]) < caps[v]:
+            held[v].append(ei)
+        else:
+            loose.append(ei)
+    dead: set[int] = set()
+    for ei in loose:
+        # via[w] = (edge that moves to w, vertex it leaves or -1 for ei)
+        via = {v: (ei, -1) for v in edges[ei] if v not in dead}
+        queue = list(via)
+        for w in queue:
+            if len(held[w]) < caps[w]:
+                while True:
+                    f, u = via[w]
+                    owner[f] = w
+                    held[w].append(f)
+                    if u < 0:
+                        break
+                    held[u].remove(f)
+                    w = u
+                break
+            for f in held[w]:
+                for x in edges[f]:
+                    if x not in via and x not in dead:
+                        via[x] = (f, w)
+                        queue.append(x)
+        else:
+            dead.update(queue)
+    return dead
 
 
 def orient_budget(h: Hypergraph, budget: Mapping[int, int]) -> Orientation | Infeasible:
@@ -110,16 +116,18 @@ def orient_budget(h: Hypergraph, budget: Mapping[int, int]) -> Orientation | Inf
         raise BudgetDomainMismatch(
             f"budget domain must be 0..{h.n - 1}, got {sorted(budget)}"
         )
-    flows, witness = saturating_assignment(h, range(h.e), dict(budget))
-    if flows is None:
+    for v, cap in budget.items():
+        if cap < 0:
+            raise BadParams(f"negative cap {cap} for vertex {v}")
+    owner = [edge[0] for edge in h.edges]
+    dead = _reorient(h.edges, range(h.e), [budget[v] for v in range(h.n)], owner)
+    if dead:
+        witness = tuple(sorted(dead))
         inside = len(h.edges_inside(witness))
         cap = sum(budget[v] for v in witness)
-        assert inside > cap, "min-cut witness must violate the capacity condition"
+        assert inside > cap, "a dead set must violate the capacity condition"
         return Infeasible(witness, inside, cap)
-    orders = []
-    for ei, edge in enumerate(h.edges):
-        (first,) = flows[ei]
-        orders.append((first,) + tuple(v for v in edge if v != first))
+    orders = [(v,) + tuple(u for u in edge if u != v) for v, edge in zip(owner, h.edges)]
     return Orientation(h, tuple(orders))
 
 
@@ -167,16 +175,19 @@ def orient_from_partition(
     rest_set = set(rest)
 
     orders: list[tuple[int, ...] | None] = [None] * h.e
+    # parts are disjoint, so one owner list and one caps list serve them all
+    owner = [edge[0] for edge in h.edges]
+    caps = [k - 1] * h.n
     for i, part in enumerate(psets):
         internal = h.edges_inside(part)
-        flows, witness = saturating_assignment(h, internal, {v: k - 1 for v in part})
-        if flows is None:
+        dead = _reorient(h.edges, internal, caps, owner)
+        if dead:
             raise PartNotSparse(
                 f"part {i} cannot bound coordinate {i} by {k - 1}; "
-                f"dense subset {witness}"
+                f"dense subset {tuple(sorted(dead))}"
             )
         for ei in internal:
-            (first,) = flows[ei]
+            first = owner[ei]
             base = (first,) + tuple(v for v in h.edges[ei] if v != first)
             rotated = [0] * h.r
             for j, v in enumerate(base):

@@ -223,6 +223,25 @@ def test_gen_missing_params_exit_one(capsys):
     assert main(["gen", "complete", "--n", "3"]) == 1
 
 
+def test_gen_multipartite_rejects_non_integer_sizes(capsys):
+    assert main(["gen", "multipartite", "--sizes", "3,x"]) == 1
+    err = capsys.readouterr().err
+    assert "--sizes" in err and "'3,x'" in err and "Traceback" not in err
+
+
+def test_budget_file_rejects_a_repeated_vertex(tmp_path, capsys):
+    src = tmp_path / "k3.hg"
+    write_path(complete(3, 2), src)
+    caps = tmp_path / "caps.txt"
+    caps.write_text("0 2\n1 1\n2 0\n", encoding="utf-8")
+    assert main(["orient", str(src), "--budget-file", str(caps)]) == 0
+    capsys.readouterr()
+    # keeping the last cap of vertex 0 would make the budget infeasible (exit 2)
+    caps.write_text("0 2\n1 1\n2 0\n0 0\n", encoding="utf-8")
+    assert main(["orient", str(src), "--budget-file", str(caps)]) == 1
+    assert f"{caps}:4: vertex 0 already has a cap" in capsys.readouterr().err
+
+
 def test_verify_suite_passes(capsys):
     assert main(["verify", "ramsey-chi"]) == 0
     assert "ramsey-chi: 4 passed, 0 failed" in capsys.readouterr().out

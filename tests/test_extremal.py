@@ -34,7 +34,6 @@ from hyperf import (
     random_hypergraph,
     szekeres_wilf_coloring,
 )
-from hyperf.orient import saturating_assignment
 
 
 def _cycle(n):
@@ -386,8 +385,8 @@ def test_m_value_budget_carries_partial():
 
 def test_hakimi_oracle_matches_a_flow_on_every_mask():
     """One oracle instance, driven over a mask sequence that grows,
-    shrinks and jumps, so that it starts from stale owners, answers as a
-    fresh saturating flow does."""
+    shrinks and jumps, so that it starts from stale owners, answers as
+    Mad's flow test on the induced part does."""
     rng = random.Random(21)
     answers = {True: 0, False: 0}
     for _ in range(80):
@@ -408,8 +407,7 @@ def test_hakimi_oracle_matches_a_flow_on_every_mask():
             elif step < 0.8:
                 mask = rng.randrange(1 << n) | rng.randrange(1 << n)
             members = [v for v in range(n) if mask >> v & 1]
-            ids = [ei for ei, edge in enumerate(h.edges) if all(mask >> v & 1 for v in edge)]
-            want = saturating_assignment(h, ids, dict.fromkeys(members, k))[0] is not None
+            want = extremal._mad_feasible(_induced(h, members), Fraction(h.r * k)) is None
             assert sparse(mask) == want, (h, k, mask)
             answers[want] += 1
     assert min(answers.values()) >= 300

@@ -6,11 +6,13 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
+from test_extremal import _edge_counts
 
 from hyperf import (
     BadPSet,
     BudgetDomainMismatch,
     BadParams,
+    FlowNetwork,
     Infeasible,
     Orientation,
     PartNotSparse,
@@ -20,6 +22,7 @@ from hyperf import (
     complete,
     deficiency_coloring,
     f_count,
+    f_via_m,
     mad_bruteforce,
     orient_budget,
     orient_forbidden,
@@ -82,6 +85,59 @@ def test_infeasible_witness_certifies_overload():
         else:
             assert max(_first_position_degrees(result), default=0) <= k
             assert mad_bruteforce(h) <= h.r * k
+
+
+def test_budget_orientation_matches_subset_enumeration():
+    """An orientation exists exactly when no vertex set F spans more than
+    budget(F) edges; otherwise the witness is the intersection of all sets
+    F with the largest excess e(F) - budget(F)."""
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r, 10)
+        m = rng.randint(0, min(comb(n, r), 3 * n))
+        h = random_hypergraph(n, r, m, seed=rng.randrange(10**6))
+        budget = {v: rng.randint(0, 3) for v in range(n)}
+        edges = _edge_counts(h)
+        capacity = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            capacity[mask] = capacity[mask ^ low] + budget[low.bit_length() - 1]
+        excess = [e - c for e, c in zip(edges, capacity)]
+        worst = max(excess)
+        meet = (1 << n) - 1
+        for mask, x in enumerate(excess):
+            if x == worst:
+                meet &= mask
+        result = orient_budget(h, budget)
+        if isinstance(result, Infeasible):
+            assert worst > 0
+            assert result == Infeasible(tuple(v for v in range(n) if meet >> v & 1),
+                                        edges[meet], capacity[meet])
+        else:
+            loads = _first_position_degrees(result)
+            assert all(loads[v] <= budget[v] for v in range(n))
+            assert worst <= 0
+        outcomes[isinstance(result, Orientation)] += 1
+    assert min(outcomes.values()) >= 100
+
+
+def test_orientations_run_no_max_flow(monkeypatch):
+    calls = [0]
+    run = FlowNetwork.max_flow
+
+    def counted(self):
+        calls[0] += 1
+        return run(self)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    assert isinstance(orient_max_outdeg(complete(5, 3), 2), Orientation)
+    assert isinstance(orient_max_outdeg(complete(5, 3), 1), Infeasible)
+    assert isinstance(orient_budget(complete(3, 2), {0: 2, 1: 1, 2: 0}), Orientation)
+    assert isinstance(orient_from_partition(complete(6, 2), 2, ((0, 1, 2), (3, 4, 5))), Orientation)
+    assert f_via_m(random_hypergraph(16, 2, 60, seed=3), 2).orientation is not None
+    assert calls[0] == 0
 
 
 def test_partition_orientation_clears_every_vertex():
