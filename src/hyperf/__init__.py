@@ -62,6 +62,7 @@ from .extremal import (
     hit_triangles,
     m_value,
     mad_bruteforce,
+    mad_certificate,
     mad_exact,
     partition_degenerate,
     szekeres_wilf_coloring,

@@ -29,7 +29,7 @@ from .hypercore import (
     write_path,
 )
 from .orient import Infeasible, orient_budget, orient_max_outdeg
-from .extremal import degeneracy, m_value, mad_exact
+from .extremal import degeneracy, m_value, mad_certificate, mad_exact
 from .fcalc import (
     FReport,
     ThresholdUnknown,
@@ -267,11 +267,12 @@ def _require(args, *names):
 
 def _cmd_mad(args, budget) -> int:
     h = _read_hypergraph(args.file)
-    value, witness = mad_exact(h)
     if args.json:
+        value, witness, spread = mad_certificate(h)
         _emit_json({"mad": f"{value.numerator}/{value.denominator}",
-                    "witness": list(witness)})
+                    "witness": list(witness), "spread": [list(row) for row in spread]})
     else:
+        value, witness = mad_exact(h)
         print(f"{value.numerator}/{value.denominator}")
         if not args.quiet:
             print("witness:", " ".join(str(v) for v in witness))

@@ -66,47 +66,91 @@ def mad_bruteforce(h: Hypergraph) -> Fraction:
     return best
 
 
-def _mad_feasible(h: Hypergraph, value: Fraction):
-    """None if Mad(H) <= value = a/b, else a vertex set F with r*e(F)/|F| >
-    value: the min cut's vertices when each edge ships r*b units into its
-    vertices and each vertex absorbs at most a."""
+def _mad_feasible(h: Hypergraph, value: Fraction) -> tuple[bool, FlowNetwork]:
+    """Whether Mad(H) <= value = a/b, and the flow network that decides it,
+    after its max flow.
+
+    Node v < n is vertex v, n the source, n + 1 + i edge i and n + 1 + e
+    the sink.  Each edge node gets r*b units from the source and may ship
+    them to its vertices, and each vertex absorbs at most a; Mad <= a/b
+    exactly when all r*b*e units arrive.  The arcs are added in one call,
+    per edge its source arc and then its vertices in order, and then the
+    sink arcs, so edge i's arc to its j-th vertex has id 2*((r+1)*i + 1 + j).
+    """
     a, b = value.numerator, value.denominator
-    supply = h.r * b
-    vertex0, sink = 1 + h.e, 1 + h.e + h.n
-    net = FlowNetwork(sink + 1, 0, sink)
-    for ei, edge in enumerate(h.edges):
-        net.add_arc(0, 1 + ei, supply)
-        for v in edge:
-            net.add_arc(1 + ei, vertex0 + v, supply)
-    for v in range(h.n):
-        net.add_arc(vertex0 + v, sink, a)
-    if net.max_flow() == supply * h.e:
-        return None
-    side = net.min_cut_source_side()
-    return tuple(v for v in range(h.n) if vertex0 + v in side)
+    r, e, n = h.r, h.e, h.n
+    supply = r * b
+    source, sink = n, n + 1 + e
+    per_edge = r + 1
+    nodes = range(n + 1, sink)
+    tails = [source] * (per_edge * e)
+    heads = tails[:]
+    heads[::per_edge] = nodes
+    for j, column in enumerate(zip(*h.edges), 1):
+        tails[j::per_edge] = nodes
+        heads[j::per_edge] = column
+    tails += range(n)
+    heads += [sink] * n
+    net = FlowNetwork(sink + 1, source, sink)
+    net.add_arcs(tails, heads, [supply] * (per_edge * e) + [a] * n)
+    return net.max_flow() == supply * e, net
+
+
+def _mad_certified(h: Hypergraph) -> tuple[Fraction, tuple[int, ...], FlowNetwork | None]:
+    """Mad, its witness and the network of the flow that certifies it
+    (None without edges); see `mad_exact`."""
+    if h.e == 0:
+        return Fraction(0), tuple(range(min(1, h.n))), None
+    _, _, deleted = _peel(h, range(h.n))
+    left, size = h.e, h.n
+    best = (left, size)
+    for d in deleted[:-1]:
+        left -= d
+        size -= 1
+        if left * best[1] > best[0] * size:
+            best = (left, size)
+    value = Fraction(h.r * best[0], best[1])
+    while True:
+        feasible, net = _mad_feasible(h, value)
+        if feasible:
+            break
+        side = net.min_cut_source_side()
+        denser = [v for v in range(h.n) if v in side]
+        value = Fraction(h.r * len(h.edges_inside(denser)), len(denser))
+    reach = net.min_cut_sink_side()
+    return value, tuple(v for v in range(h.n) if v not in reach), net
 
 
 def mad_exact(h: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact Mad and the largest vertex set attaining it (Dinkelbach).
 
-    Mad <= a/b exactly when every edge can spread r*b units over its
-    vertices with each vertex absorbing at most a; otherwise the min cut's
-    source side is the smallest set F maximising r*b*e(F) - a*|F|, which
-    is denser than a/b.  Each step moves to that set at its density until
-    the loop's exit certifies Mad <= value, the density of `best`.  The
-    last step ran below Mad, where a densest set D scores |D|*(Mad - value):
-    the largest densest set scores at least as much as the densest `best`, so
-    `best`, the smallest maximiser, is that set (V if no step ran).  Without
-    edges the witness is vertex 0 alone.
+    The start is the densest suffix of the min-degree peeling order
+    (Charikar 2000), a lower bound on Mad that often attains it.  At a
+    value a/b below Mad the flow test's min cut (`_mad_feasible`) leaves
+    the smallest set F maximising r*b*e(F) - a*|F|, which is denser than
+    a/b, and the next step runs at its density.  A flow that ships every
+    unit certifies Mad <= value, so value = Mad.  In its residual graph
+    the vertices that cannot reach the sink form the largest maximiser of
+    r*b*e(F) - a*|F|; at a/b = Mad the maximum is 0 and the maximisers
+    are the densest sets and the empty set, so that is the largest
+    densest set, the union of them all.  Without edges the witness is
+    vertex 0 alone.
     """
-    if h.e == 0:
-        return Fraction(0), tuple(range(min(1, h.n)))
-    best = tuple(range(h.n))
-    value = Fraction(h.r * h.e, h.n)
-    while (denser := _mad_feasible(h, value)) is not None:
-        best = tuple(sorted(denser))
-        value = Fraction(h.r * len(h.edges_inside(best)), len(best))
-    return value, best
+    value, witness, _ = _mad_certified(h)
+    return value, witness
+
+
+def mad_certificate(h: Hypergraph) -> tuple[Fraction, tuple[int, ...], list[tuple[int, ...]]]:
+    """Mad = a/b, the largest densest set and the spread that proves
+    Mad <= a/b: one row per edge of h.edges, the amounts the certifying
+    flow ships to the edge's vertices in order.  Each row sums to r*b and
+    no vertex receives more than a in all, so summing over the edges inside
+    any vertex set F gives r*b*e(F) <= a*|F|.
+    """
+    value, witness, net = _mad_certified(h)
+    r = h.r
+    spread = [tuple(net.flow_on(2 * ((r + 1) * i + 1 + j)) for j in range(r)) for i in range(h.e)]
+    return value, witness, spread
 
 
 # ------------------------------------------------------ degeneracy and coloring
@@ -114,37 +158,56 @@ def mad_exact(h: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
 
 def degeneracy(h: Hypergraph) -> tuple[int, list[int]]:
     """Degeneracy and a min-degree elimination order (lowest index on ties)."""
-    return _peel(h, range(h.n))
+    d, order, _ = _peel(h, range(h.n))
+    return d, order
 
 
-def _peel(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, list[int]]:
-    """Degeneracy of the sub-hypergraph induced by the given vertices, and
-    its min-degree elimination order (lowest index on ties)."""
-    alive = set(vertices)
-    incident: dict[int, list[tuple[int, ...]]] = {v: [] for v in alive}
-    for edge in h.edges:
-        if alive.issuperset(edge):
-            for v in edge:
-                incident[v].append(edge)
-    deg = {v: len(edges) for v, edges in incident.items()}
-    # a sorted list is a heap; an entry left behind by a decrement is stale
-    heap = sorted((d, v) for v, d in deg.items())
-    order = []
+def _peel(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, list[int], list[int]]:
+    """Degeneracy of the sub-hypergraph induced by the given vertices, its
+    min-degree elimination order (lowest index on ties) and the number of
+    edges each removal deletes, which is the vertex's degree when it goes.
+
+    Vertices are held at their positions in ascending order, and the heap
+    key d*m + p of position p at degree d orders as (d, p), so ties break
+    as on (degree, vertex).  An edge is alive until its first vertex goes,
+    and a vertex's degree counts its live edges.
+    """
+    verts = sorted(vertices)
+    m = len(verts)
+    pos = [-1] * h.n
+    for i, v in enumerate(verts):
+        pos[v] = i
+    # the edges inside, as position tuples, mapped column by column
+    at = pos.__getitem__
+    members = [ps for ps in zip(*(map(at, col) for col in zip(*h.edges))) if -1 not in ps]
+    incident: list[list[int]] = [[] for _ in verts]
+    for ei, ps in enumerate(members):
+        for p in ps:
+            incident[p].append(ei)
+    alive = [True] * len(members)
+    deg = [len(edges) for edges in incident]
+    # a sorted list is a heap; an entry left behind by a decrement is stale,
+    # and a removed vertex's degree is -1
+    heap = sorted(d * m + p for p, d in enumerate(deg))
+    order, deleted = [], []
     dmax = 0
     while heap:
-        d, v = heappop(heap)
-        if v not in alive or d != deg[v]:
+        d, p = divmod(heappop(heap), m)
+        if d != deg[p]:
             continue
-        dmax = max(dmax, d)
-        order.append(v)
-        for edge in incident[v]:
-            if alive.issuperset(edge):
-                for u in edge:
-                    if u != v:
+        if d > dmax:
+            dmax = d
+        order.append(verts[p])
+        deleted.append(d)
+        deg[p] = -1
+        for ei in incident[p]:
+            if alive[ei]:
+                alive[ei] = False
+                for u in members[ei]:
+                    if u != p:
                         deg[u] -= 1
-                        heappush(heap, (deg[u], u))
-        alive.remove(v)
-    return dmax, order
+                        heappush(heap, deg[u] * m + u)
+    return dmax, order, deleted
 
 
 def _incident(h: Hypergraph) -> list[list[int]]:

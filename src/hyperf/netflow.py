@@ -5,14 +5,17 @@ runs one breadth-first level pass from the source, then pushes a blocking
 flow along the level graph with one iterative depth-first search.  Both
 scan every node's arcs in insertion order and the search takes the
 lowest-numbered admissible arc first, so the flow a network gets is a
-function of the order its arcs were added in.  After a run, the source
-side of a min cut is the residual-reachable set: the unique smallest
-min-cut source side, whichever maximum flow was found.
+function of the order its arcs were added in.  Arcs are added in bulk by
+`add_arcs`; `add_arc` adds one through it.  After a run, the nodes the
+source reaches in the residual graph are the unique smallest min-cut
+source side, and the nodes that reach the sink are the unique smallest
+min-cut sink side, whichever maximum flow was found; the rest of the
+network is the largest min-cut source side.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from typing import Sequence
 
 from .hypercore import BadParams
 
@@ -37,18 +40,34 @@ class FlowNetwork:
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         """Add u->v with the given capacity; returns the arc id."""
-        if cap < 0:
-            raise BadParams(f"negative capacity {cap}")
-        for x in (u, v):
-            if not (0 <= x < self.num_nodes):
-                raise BadParams(f"node {x} out of range")
-        arc = len(self._to)
+        return self.add_arcs((u,), (v,), (cap,))
+
+    def add_arcs(self, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int]) -> int:
+        """Add tails[i]->heads[i] with capacity caps[i] for each i, in that
+        order; returns the first arc's id, and arc i gets that id + 2i."""
+        count, n = len(tails), self.num_nodes
+        if not len(heads) == len(caps) == count:
+            raise BadParams(f"{count} tails, {len(heads)} heads and {len(caps)} capacities")
+        if count == 0:
+            return len(self._to)
+        if min(caps) < 0:
+            raise BadParams(f"negative capacity {min(caps)}")
+        if not (0 <= min(min(tails), min(heads)) and max(max(tails), max(heads)) < n):
+            bad = next(x for pair in zip(tails, heads) for x in pair if not 0 <= x < n)
+            raise BadParams(f"node {bad} out of range")
+        to, cap, adj = self._to, self._cap, self._adj
+        first = len(to)
         # forward arc at even id, residual reverse arc at arc ^ 1
-        self._to.extend((v, u))
-        self._cap.extend((cap, 0))
-        self._adj[u].append(arc)
-        self._adj[v].append(arc ^ 1)
-        return arc
+        ends = [0] * (2 * count)
+        ends[::2], ends[1::2] = heads, tails
+        to += ends
+        residual = [0] * (2 * count)
+        residual[::2] = caps
+        cap += residual
+        for arc, u, v in zip(range(first, first + 2 * count, 2), tails, heads):
+            adj[u].append(arc)
+            adj[v].append(arc + 1)
+        return first
 
     def max_flow(self) -> int:
         """Run Dinic's algorithm to completion; returns the flow value added."""
@@ -118,13 +137,25 @@ class FlowNetwork:
 
     def min_cut_source_side(self) -> set[int]:
         """Residual-reachable nodes from the source; call after max_flow."""
-        seen = {self.source}
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
+        return self._residual_reach(self.source, 0)
+
+    def min_cut_sink_side(self) -> set[int]:
+        """Nodes that reach the sink in the residual graph; call after
+        max_flow.  Every other node is on the largest min-cut source side."""
+        return self._residual_reach(self.sink, 1)
+
+    def _residual_reach(self, start: int, backward: int) -> set[int]:
+        """Nodes that start reaches along residual arcs or, with backward = 1,
+        the nodes that reach start.  Each id in u's list is an arc from u to
+        to[arc] with residual capacity cap[arc]; the opposite direction's
+        residual capacity is cap[arc ^ 1]."""
+        to, cap = self._to, self._cap
+        seen = {start}
+        queue = [start]
+        for u in queue:
             for arc in self._adj[u]:
-                v = self._to[arc]
-                if self._cap[arc] > 0 and v not in seen:
+                v = to[arc]
+                if cap[arc ^ backward] and v not in seen:
                     seen.add(v)
                     queue.append(v)
         return seen

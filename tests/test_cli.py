@@ -3,8 +3,10 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from test_extremal import _planted_dense_3graph
 
 from hyperf import (
     FReport,
@@ -41,6 +43,26 @@ def test_mad_prints_exact_rational(tmp_path, capsys):
     assert out[1].startswith("witness:")
     assert main(["mad", str(target), "--quiet"]) == 0
     assert capsys.readouterr().out.splitlines() == ["4/1"]
+
+
+def test_mad_json_spread_certifies_the_value(tmp_path, capsys):
+    h = _planted_dense_3graph(32, 8, seed=4)
+    target = tmp_path / "planted.hg"
+    write_path(h, target)
+    assert main(["mad", str(target), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out) == ["mad", "spread", "witness"]
+    a, b = (int(x) for x in out["mad"].split("/"))
+    assert Fraction(h.r * len(h.edges_inside(out["witness"])), len(out["witness"])) == Fraction(a, b)
+    assert len(out["spread"]) == h.e
+    received = [0] * h.n
+    for edge, row in zip(h.edges, out["spread"]):
+        assert len(row) == h.r and min(row) >= 0 and sum(row) == h.r * b
+        for v, amount in zip(edge, row):
+            received[v] += amount
+    assert max(received) <= a
+    assert main(["mad", str(target)]) == 0
+    assert capsys.readouterr().out.splitlines() == [out["mad"], "witness: " + " ".join(map(str, out["witness"]))]
 
 
 def test_orient_writes_verifiable_file(tmp_path, capsys):

@@ -29,6 +29,7 @@ from hyperf import (
     hit_triangles,
     m_value,
     mad_bruteforce,
+    mad_certificate,
     mad_exact,
     partition_degenerate,
     random_hypergraph,
@@ -115,11 +116,11 @@ def _max_union(q, ok):
 
 
 @st.composite
-def _small_hypergraphs(draw):
+def _small_hypergraphs(draw, max_n=7, max_edges=12):
     r = draw(st.integers(2, 4))
-    n = draw(st.integers(0, 7))
+    n = draw(st.integers(0, max_n))
     possible = list(combinations(range(n), r))
-    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=12)) if possible else []
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=max_edges)) if possible else []
     return canonicalize(edges, n, r)
 
 
@@ -156,6 +157,10 @@ def test_mad_known_values():
 
 
 def test_mad_exact_agrees_with_enumeration_and_certifies():
+    # the densest peeled suffix is {0, 1, 6, 7}; the largest densest set adds 3
+    h = random_hypergraph(10, 2, 7, seed=829267558)
+    assert h.edges == ((0, 1), (0, 6), (0, 7), (1, 7), (3, 7), (4, 5), (5, 8))
+    assert mad_exact(h) == (Fraction(2), (0, 1, 3, 6, 7))
     rng = random.Random(2)
     for _ in range(40):
         r = rng.choice((2, 3))
@@ -202,7 +207,23 @@ def test_mad_exact_needs_few_flows(monkeypatch):
     value, witness = mad_exact(h)
     assert value == Fraction(h.r * len(h.edges_inside(witness)), len(witness))
     assert value > Fraction(h.r * h.e, h.n)
-    assert calls[0] <= 4
+    # the densest peeled suffix already has density Mad, so one flow certifies it
+    assert calls[0] == 1
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_small_hypergraphs(max_n=9, max_edges=40))
+def test_mad_spread_certifies_the_upper_side(h):
+    value, witness, spread = mad_certificate(h)
+    assert (value, witness) == mad_exact(h)
+    a, b = value.numerator, value.denominator
+    assert len(spread) == h.e
+    received = [0] * h.n
+    for edge, row in zip(h.edges, spread):
+        assert len(row) == h.r and min(row) >= 0 and sum(row) == h.r * b
+        for v, amount in zip(edge, row):
+            received[v] += amount
+    assert max(received, default=0) <= a
 
 
 def test_mad_bruteforce_refuses_large_instances():
@@ -226,6 +247,10 @@ def test_degeneracy_order_is_min_degree_scan():
             order.append(v)
             remaining.remove(v)
         assert degeneracy(h) == (dmax, order)
+        _, _, deleted = extremal._peel(h, range(n))
+        assert sum(deleted) == h.e
+        for i in range(n):
+            assert h.e - sum(deleted[: i + 1]) == len(h.edges_inside(order[i + 1:]))
 
 
 def test_degeneracy_values_and_order_replay():
@@ -407,7 +432,7 @@ def test_hakimi_oracle_matches_a_flow_on_every_mask():
             elif step < 0.8:
                 mask = rng.randrange(1 << n) | rng.randrange(1 << n)
             members = [v for v in range(n) if mask >> v & 1]
-            want = extremal._mad_feasible(_induced(h, members), Fraction(h.r * k)) is None
+            want = extremal._mad_feasible(_induced(h, members), Fraction(h.r * k))[0]
             assert sparse(mask) == want, (h, k, mask)
             answers[want] += 1
     assert min(answers.values()) >= 300
