@@ -4,8 +4,9 @@ Commands read and write the plain-text format of ``hypercore`` and print
 either human-readable lines or, with ``--json``, one JSON document.  Exit
 codes: 0 success; 1 usage, parse, or I/O error; 2 infeasible or not found
 (an expected negative answer); 3 budget exhausted; 4 verification failure.
-A default search budget may be set through the ``HYPERF_BUDGET`` variable;
-``--budget`` overrides it per invocation.
+Every search takes one budget, 10**7 by default; the ``HYPERF_BUDGET``
+variable replaces the default and ``--budget`` overrides both per
+invocation.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections import Counter
 from math import comb
 
 from .hypercore import (
+    DEFAULT_NODE_BUDGET,
     GENERATORS,
     BudgetExceeded,
     Hypergraph,
@@ -42,12 +44,12 @@ from .fcalc import (
     packing_bound,
 )
 from .ramsey import b_value, chi_r, f_p1_exact
-from .verify import SUITES, UnknownSuite, _budget_kw, verify_suite
+from .verify import SUITES, UnknownSuite, verify_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
-EXIT_BUDGET = 3
+EXIT_BUDGET_EXCEEDED = 3
 EXIT_VERIFY = 4
 
 
@@ -157,12 +159,12 @@ def build_parser() -> _Parser:
 # ------------------------------------------------------------------ helpers
 
 
-def _resolve_budget(args) -> int | None:
+def _resolve_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("HYPERF_BUDGET")
     if env is None:
-        return None
+        return DEFAULT_NODE_BUDGET
     try:
         return int(env)
     except ValueError:
@@ -346,7 +348,6 @@ def _read_budget_file(path) -> dict:
 
 def _cmd_f(args, budget) -> int:
     h = _read_hypergraph(args.file)
-    kw = _budget_kw(budget)
     method = args.method
     rep = _closed_report(h, args.p, args.k) if method in ("auto", "closed") else None
     if method == "auto":
@@ -365,13 +366,13 @@ def _cmd_f(args, budget) -> int:
     elif method == "via-m":
         if args.p != 1:
             raise _UsageError("hyperf f: --method via-m requires --p 1")
-        rep = f_via_m(h, args.k, **kw)
+        rep = f_via_m(h, args.k, budget)
     elif method == "via-b":
         if args.k != 1:
             raise _UsageError("hyperf f: --method via-b requires --k 1")
-        rep = f_p1_exact(h, args.p, **kw)
+        rep = f_p1_exact(h, args.p, budget)
     else:
-        rep = f_bruteforce(h, args.p, args.k, **kw)
+        rep = f_bruteforce(h, args.p, args.k, budget)
     if args.json:
         _emit_json(rep.to_dict())
     else:
@@ -383,7 +384,7 @@ def _cmd_f(args, budget) -> int:
 
 def _cmd_chi_r(args, budget) -> int:
     h = _read_hypergraph(args.file)
-    value = chi_r(h, args.p, **_budget_kw(budget))
+    value = chi_r(h, args.p, budget)
     if args.json:
         _emit_json({"chi_r": value, "p": args.p})
     else:
@@ -393,7 +394,7 @@ def _cmd_chi_r(args, budget) -> int:
 
 def _cmd_b(args, budget) -> int:
     h = _read_hypergraph(args.file)
-    result = b_value(h, args.p, **_budget_kw(budget))
+    result = b_value(h, args.p, budget)
     if args.json:
         _emit_json({"b": result.value, "p": args.p,
                     "coloring": result.coloring.to_dict()})
@@ -409,7 +410,7 @@ def _cmd_b(args, budget) -> int:
 
 def _cmd_m(args, budget) -> int:
     h = _read_hypergraph(args.file)
-    result = m_value(h, args.k, **_budget_kw(budget))
+    result = m_value(h, args.k, budget)
     if args.json:
         _emit_json({"m": result.value, "k": args.k,
                     "parts": [list(p) for p in result.parts],
@@ -424,7 +425,7 @@ def _cmd_m(args, budget) -> int:
 
 def _cmd_bounds(args, budget) -> int:
     h = _read_hypergraph(args.file)
-    rows = bounds(h, args.k, **_budget_kw(budget))
+    rows = bounds(h, args.k, budget)
     if args.json:
         _emit_json({"k": args.k, "bounds": [b.to_dict() for b in rows]})
     else:
@@ -441,7 +442,7 @@ def _cmd_tset(args, budget) -> int:
     obj = read_path(args.file)
     if not isinstance(obj, Orientation):
         raise _UsageError("hyperf tset: input must be an oriented file")
-    found = find_tset(obj, args.p, args.k, args.t, **_budget_kw(budget))
+    found = find_tset(obj, args.p, args.k, args.t, budget)
     if found is None:
         if args.json:
             _emit_json({"found": False, "p": args.p, "k": args.k, "t": args.t})
@@ -457,7 +458,7 @@ def _cmd_tset(args, budget) -> int:
 
 
 def _cmd_pack(args, budget) -> int:
-    result = packing_bound(args.n, args.r, args.p, args.k, m=args.m, **_budget_kw(budget))
+    result = packing_bound(args.n, args.r, args.p, args.k, m=args.m, budget=budget)
     if args.json:
         _emit_json(result.to_dict())
     else:
@@ -502,7 +503,7 @@ def main(argv=None) -> int:
             print(f"best found: {exc.best}", file=sys.stderr)
         if exc.lower is not None or exc.upper is not None:
             print(f"bracket: [{exc.lower}, {exc.upper}]", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET_EXCEEDED
     except ThresholdUnknown as exc:
         print(exc, file=sys.stderr)
         return EXIT_NEGATIVE

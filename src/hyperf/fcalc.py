@@ -5,7 +5,7 @@ its C(r,p) coordinates are >= k; f(D,p,k) counts such p-sets and f(H,p,k)
 is the minimum over orientations.  For p = 1 the minimum equals
 n - M(H,k-1) and is certified by a partition-derived orientation; for
 complete hypergraphs a closed form applies; everything else falls back to
-budgeted brute force over all (r!)^e orientations.
+a node-budgeted depth-first search over the orientations.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from itertools import combinations, permutations
 from .hypercore import (
     DEFAULT_NODE_BUDGET,
     BadParams,
+    BadPSet,
     BudgetExceeded,
     Hypergraph,
     HyperfError,
@@ -35,8 +36,6 @@ from .extremal import (
     m_value,
 )
 from .orient import orient_from_partition
-
-DEFAULT_SCAN_BUDGET = 10**8
 
 
 class ThresholdUnknown(HyperfError):
@@ -110,30 +109,34 @@ def f_count(d: Orientation, p: int, k: int) -> int:
     return sum(1 for coords in touched.values() if min(coords) >= k)
 
 
-def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_SCAN_BUDGET) -> FReport:
-    """Exact f(H,p,k) by enumerating all orientations in mixed-radix order.
+def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport:
+    """Exact f(H,p,k) by depth-first search over orientations, edge by edge.
 
-    Edge orderings are scanned lexicographically (all-ascending first) and
-    the lexicographically first minimizing orientation is reported.  A
-    prefix's everywhere-full count only grows as further edges are
-    oriented, so subtrees that cannot beat the incumbent are skipped
-    without affecting the minimum or the chosen minimizer.
+    Each edge's orderings are tried lexicographically (all-ascending
+    first), so leaves come in mixed-radix order and the lexicographically
+    first minimizing orientation is reported.  A prefix's everywhere-full
+    count only grows as further edges are oriented, so a node that cannot
+    beat the incumbent gets no children, and an orientation with no full
+    p-set ends the search; only a strictly better leaf is recorded, so
+    neither changes the minimizer.  Nodes are counted as in the
+    sparse-parts engine, pruned ones included: the empty orientation is
+    node 1, and BudgetExceeded after `budget` nodes carries the incumbent
+    (None before the first leaf).  budget_used is the number of nodes
+    expanded, the smallest budget that finishes; k = 0 needs no search
+    and expands none.
     """
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
-    pidx = PositionIndex(h.r, p)
-    total = math.factorial(h.r) ** h.e
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} orientations exceed the budget of {budget}", upper=None
-        )
+    if not (1 <= p <= h.r - 1):
+        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
     if k == 0:
         return FReport(
             value=math.comb(h.n, p),
             method="brute",
             orientation=ascending_orientation(h),
-            budget_used=1,
+            budget_used=0,
         )
+    pidx = PositionIndex(h.r, p)
     npos = pidx.count
     pid: dict[tuple[int, ...], int] = {}  # p-sets inside some edge only
     edge_orders = [sorted(permutations(edge)) for edge in h.edges]
@@ -148,45 +151,50 @@ def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_SCAN_BUDGE
 
     coords = [0] * (len(pid) * npos)
     deficit = [npos] * len(pid)
-    state = {"qualified": 0, "best": math.inf, "pick": None, "leaves": 0}
-    choice = [0] * h.e
-
-    def rec(ei):
-        if state["qualified"] >= state["best"]:
-            return
-        if ei == h.e:
-            state["leaves"] += 1
-            state["best"] = state["qualified"]
-            state["pick"] = tuple(choice)
-            return
-        for j, ups in enumerate(edge_updates[ei]):
-            choice[ei] = j
-            for idx in ups:
-                coords[idx] += 1
+    qualified = nodes = 0
+    best = pick = None
+    stack: list[int] = []  # ordering index of each oriented edge, in edge order
+    ups = ()  # coordinates raised by the newest choice, none at the root
+    while True:
+        for idx in ups:
+            coords[idx] += 1
+            if coords[idx] == k:
+                pi = idx // npos
+                deficit[pi] -= 1
+                if deficit[pi] == 0:
+                    qualified += 1
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"orientation search exceeded {budget} nodes", best=best)
+        if best is None or qualified < best:
+            if len(stack) < h.e:
+                stack.append(0)
+                ups = edge_updates[len(stack) - 1][0]
+                continue
+            best, pick = qualified, tuple(stack)
+            if best == 0:
+                break
+        # backtrack to the deepest edge with an untried ordering
+        while stack:
+            ei = len(stack) - 1
+            for idx in edge_updates[ei][stack[ei]]:
                 if coords[idx] == k:
                     pi = idx // npos
-                    deficit[pi] -= 1
                     if deficit[pi] == 0:
-                        state["qualified"] += 1
-            rec(ei + 1)
-            for idx in ups:
-                if coords[idx] == k:
-                    pi = idx // npos
-                    if deficit[pi] == 0:
-                        state["qualified"] -= 1
+                        qualified -= 1
                     deficit[pi] += 1
                 coords[idx] -= 1
+            stack[ei] += 1
+            if stack[ei] < len(edge_updates[ei]):
+                ups = edge_updates[ei][stack[ei]]
+                break
+            stack.pop()
+        else:
+            break
 
-    rec(0)
-    pick = state["pick"]
-    assert pick is not None
-    orders = tuple(edge_orders[ei][j] for ei, j in enumerate(pick))
-    return FReport(
-        value=int(state["best"]),
-        method="brute",
-        orientation=Orientation(h, orders),
-        budget_used=state["leaves"],
-    )
+    orientation = Orientation(h, tuple(edge_orders[ei][j] for ei, j in enumerate(pick)))
+    assert f_count(orientation, p, k) == best, "reported orientation must attain the value"
+    return FReport(value=best, method="brute", orientation=orientation, budget_used=nodes)
 
 
 def f_via_m(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport:
@@ -446,13 +454,15 @@ def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE
     h = d.base
     if t < 0:
         raise BadParams(f"t must be >= 0, got {t}")
+    if not (1 <= p <= h.r - 1):
+        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
     if t > h.n:
         return None
-    good = {a for a, coords in _touched_vectors(d, p).items() if min(coords) >= k}
-    if t < p:
+    if t < p or k <= 0:
         return tuple(range(t))
+    good = {a for a, coords in _touched_vectors(d, p).items() if min(coords) >= k}
     if p == 1:
-        verts = [v for v in range(h.n) if k <= 0 or (v,) in good]
+        verts = [v for v in range(h.n) if (v,) in good]
         return tuple(verts[:t]) if len(verts) >= t else None
     counter = [0]
 
@@ -465,7 +475,7 @@ def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE
         if len(cur) + (h.n - start) < t:
             return None
         for v in range(start, h.n):
-            if k <= 0 or all(tuple(sorted(sub + (v,))) in good for sub in combinations(cur, p - 1)):
+            if all(tuple(sorted(sub + (v,))) in good for sub in combinations(cur, p - 1)):
                 cur.append(v)
                 res = rec(cur, v + 1)
                 if res is not None:
@@ -490,7 +500,7 @@ class PackingResult:
 
 
 def greedy_packing(n: int, m: int, p: int,
-                   budget: int = DEFAULT_SCAN_BUDGET) -> list[tuple[int, ...]]:
+                   budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, ...]]:
     """Greedy lexicographic m-set packing: accept a block when none of its
     p-subsets appears in an earlier accepted block.
 
@@ -518,7 +528,7 @@ def greedy_packing(n: int, m: int, p: int,
 
 
 def packing_bound(n: int, r: int, p: int, k: int, m: int | None = None,
-                  budget: int = DEFAULT_SCAN_BUDGET) -> PackingResult:
+                  budget: int = DEFAULT_NODE_BUDGET) -> PackingResult:
     """Packing lower bound on f(n,r,p,k): each block of a greedy packing by
     m-sets, m = f(r,p,k), must contain an everywhere-full p-set, and blocks
     share none.  m is resolved from the closed form (p=1) or the recorded

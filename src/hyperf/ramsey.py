@@ -27,7 +27,6 @@ from .hypercore import (
 )
 from .extremal import _sparse_parts, chromatic_exact
 from .fcalc import (
-    DEFAULT_SCAN_BUDGET,
     FReport,
     ThresholdResult,
     closed_form_complete,
@@ -121,12 +120,13 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     return BValueResult(value, PSetColoring(p, derived.r, colored))
 
 
-def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_SCAN_BUDGET) -> ThresholdResult:
+def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_NODE_BUDGET) -> ThresholdResult:
     """Smallest n <= n_max with f(n,r,p,k) > 0, by the cheapest exact route.
 
     p = 1 uses the closed form; p = r-1 with k = 1 goes through the p-set
-    family number b; anything else brute-forces the complete hypergraph.
-    Budget-blown n values are skipped and reported, which voids any
+    family number b; anything else searches the orientations of the
+    complete hypergraph.  `budget` bounds each n's search on its own;
+    budget-blown n values are skipped and reported, which voids any
     "not found up to n_max" reading.
     """
     if not (1 <= p <= r - 1) or k < 1 or n_max < 1:

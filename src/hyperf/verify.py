@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .hypercore import (
+    DEFAULT_NODE_BUDGET,
     Hypergraph,
     HyperfError,
     canonicalize,
@@ -120,10 +121,6 @@ def _finish(name, seed, checks, t0) -> VerifySuiteReport:
     )
 
 
-def _budget_kw(budget):
-    return {} if budget is None else {"budget": budget}
-
-
 def random_corpus(count, seed, ranks=(2, 3, 4), n_max=10, e_max=12):
     """Deterministic list of small random hypergraphs used by the suites."""
     rng = random.Random(seed)
@@ -143,7 +140,7 @@ def _first_position_degrees(d):
     return vec
 
 
-def suite_hakimi(seed=1, budget=None):
+def suite_hakimi(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Orientability with first-position degree <= k at every vertex is
     equivalent to Mad(H) <= r*k; the feasible orientations really attain
     the bound and the flow route agrees with subset enumeration."""
@@ -170,16 +167,15 @@ def suite_hakimi(seed=1, budget=None):
     return _finish("hakimi", seed, checks, t0)
 
 
-def suite_via_m(seed=1, budget=None):
+def suite_via_m(seed=1, budget=DEFAULT_NODE_BUDGET):
     """f(H,1,k) computed by full orientation scan equals n - M(H,k-1), and
     the partition-built certificate orientation attains the value."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     checks = []
     for idx, h in enumerate(random_corpus(100, seed, ranks=(2, 3), n_max=6, e_max=6)):
         for k in (1, 2):
-            brute = f_bruteforce(h, 1, k, **kw)
-            via = f_via_m(h, k, **kw)
+            brute = f_bruteforce(h, 1, k, budget)
+            via = f_via_m(h, k, budget)
             attained = f_count(via.orientation, 1, k)
             checks.append(
                 CheckResult(
@@ -193,17 +189,16 @@ def suite_via_m(seed=1, budget=None):
     return _finish("via-m", seed, checks, t0)
 
 
-def suite_closed_form(seed=1, budget=None):
+def suite_closed_form(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Complete hypergraphs: the partition route matches the closed form
     max(n - r*t, 0), and the full orientation scan confirms it at the
     smallest sizes."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     checks = []
     for r in (2, 3):
         for n in range(r, 13):
             for k in (1, 2):
-                via = f_via_m(complete(n, r), k, **kw).value
+                via = f_via_m(complete(n, r), k, budget).value
                 closed = closed_form_complete(n, r, k)
                 checks.append(
                     CheckResult(
@@ -214,7 +209,7 @@ def suite_closed_form(seed=1, budget=None):
                     )
                 )
     for n in range(2, 7):
-        brute = f_bruteforce(complete(n, 2), 1, 1, **kw).value
+        brute = f_bruteforce(complete(n, 2), 1, 1, budget).value
         checks.append(
             CheckResult(
                 instance=f"complete n={n} r=2 k=1",
@@ -224,7 +219,7 @@ def suite_closed_form(seed=1, budget=None):
             )
         )
     for n in (4, 5):
-        brute = f_bruteforce(complete(n, 3), 1, 1, **kw).value
+        brute = f_bruteforce(complete(n, 3), 1, 1, budget).value
         checks.append(
             CheckResult(
                 instance=f"complete n={n} r=3 k=1",
@@ -236,14 +231,13 @@ def suite_closed_form(seed=1, budget=None):
     return _finish("closed-form", seed, checks, t0)
 
 
-def suite_ramsey_chi(seed=1, budget=None):
+def suite_ramsey_chi(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Ramsey pair-chromatic numbers of small complete 3-uniform
     hypergraphs: 2 up to five vertices, 3 at six."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     checks = []
     for n, expected in ((3, 2), (4, 2), (5, 2), (6, 3)):
-        got = chi_r(complete(n, 3), 2, **kw)
+        got = chi_r(complete(n, 3), 2, budget)
         checks.append(
             CheckResult(
                 instance=f"complete n={n} r=3 p=2",
@@ -255,16 +249,15 @@ def suite_ramsey_chi(seed=1, budget=None):
     return _finish("ramsey-chi", seed, checks, t0)
 
 
-def suite_via_b(seed=1, budget=None):
+def suite_via_b(seed=1, budget=DEFAULT_NODE_BUDGET):
     """k=1 exact identity f(H,p,1) == C(n,p) - b(H,p) for p in {1, r-1},
     with the forbidden-coordinate certificate attaining the value."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     checks = []
     for idx, h in enumerate(random_corpus(50, seed, ranks=(3,), n_max=6, e_max=6)):
         for p in (1, 2):
-            brute = f_bruteforce(h, p, 1, **kw)
-            rep = f_p1_exact(h, p, **kw)
+            brute = f_bruteforce(h, p, 1, budget)
+            rep = f_p1_exact(h, p, budget)
             attained = f_count(rep.orientation, p, 1)
             checks.append(
                 CheckResult(
@@ -278,16 +271,15 @@ def suite_via_b(seed=1, budget=None):
     return _finish("via-b", seed, checks, t0)
 
 
-def suite_multipartite(seed=1, budget=None):
+def suite_multipartite(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Complete multipartite closed form: sum of the class sizes beyond the
     two largest, minus 2k - 2, matched by the partition route."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     checks = []
     for sizes in ((7, 7, 3), (3, 3, 2), (4, 4, 2, 2)):
         k = 2
         formula = closed_form_multipartite(sizes, k)
-        via = f_via_m(complete_multipartite(sizes), k, **kw).value
+        via = f_via_m(complete_multipartite(sizes), k, budget).value
         checks.append(
             CheckResult(
                 instance=f"multipartite {sizes} k={k}",
@@ -300,18 +292,17 @@ def suite_multipartite(seed=1, budget=None):
     return _finish("multipartite", seed, checks, t0)
 
 
-def suite_perfect_graph(seed=1, budget=None):
+def suite_perfect_graph(seed=1, budget=DEFAULT_NODE_BUDGET):
     """On complete multipartite and bipartite graphs, f(G,1) equals the
     minimum number of vertices meeting every triangle, found by a subset
     scan."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     rng = random.Random(seed)
     checks = []
     for n in range(1, 9):
         for parts in _partitions(n):
             g = complete_multipartite(parts)
-            fv = f_via_m(g, 1, **kw).value
+            fv = f_via_m(g, 1, budget).value
             hv = _triangle_hitting_by_scan(g)
             checks.append(
                 CheckResult(
@@ -326,7 +317,7 @@ def suite_perfect_graph(seed=1, budget=None):
         b = rng.randint(1, 9 - a)
         m = rng.randint(0, min(14, a * b))
         g = _random_bipartite(a, b, m, rng.randrange(1 << 30))
-        fv = f_via_m(g, 1, **kw).value
+        fv = f_via_m(g, 1, budget).value
         hv = _triangle_hitting_by_scan(g)
         checks.append(
             CheckResult(
@@ -339,12 +330,11 @@ def suite_perfect_graph(seed=1, budget=None):
     return _finish("perfect-graph", seed, checks, t0)
 
 
-def suite_complement(seed=1, budget=None):
+def suite_complement(seed=1, budget=DEFAULT_NODE_BUDGET):
     """f(G,1) + f(complement(G),1) >= n - 4 for every graph on up to six
     vertices, with equality on disjoint unions of two cliques; the clique
     union / complete bipartite pair meets both closed-form bounds at k=1."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     rng = random.Random(seed)
     checks = []
     for n in range(1, 7):
@@ -367,7 +357,7 @@ def suite_complement(seed=1, budget=None):
             sample_bad = 0
             for mask in rng.sample(range(total), 100):
                 g = _graph_of_mask(n, pairs, mask)
-                if f_via_m(g, 1, **kw).value != n - two_part[mask]:
+                if f_via_m(g, 1, budget).value != n - two_part[mask]:
                     sample_bad += 1
             checks.append(
                 CheckResult(
@@ -382,7 +372,7 @@ def suite_complement(seed=1, budget=None):
             n = a + b
             bipart = complete_multipartite((a, b))
             cliques = complement(bipart)
-            total_f = f_via_m(cliques, 1, **kw).value + f_via_m(bipart, 1, **kw).value
+            total_f = f_via_m(cliques, 1, budget).value + f_via_m(bipart, 1, budget).value
             checks.append(
                 CheckResult(
                     instance=f"cliques {a}+{b} vs complete bipartite",
@@ -394,17 +384,16 @@ def suite_complement(seed=1, budget=None):
     return _finish("complement", seed, checks, t0)
 
 
-def suite_mop(seed=1, budget=None):
+def suite_mop(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Maximal outerplanar graphs: 1 <= f(G,1) <= n/3, and the fan
     triangulation attains the lower end."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     rng = random.Random(seed)
     checks = []
     for idx in range(50):
         n = rng.randint(3, 12)
         g = mop_random(n, seed=rng.randrange(1 << 30))
-        fv = f_via_m(g, 1, **kw).value
+        fv = f_via_m(g, 1, budget).value
         checks.append(
             CheckResult(
                 instance=f"random mop #{idx} n={n}",
@@ -414,7 +403,7 @@ def suite_mop(seed=1, budget=None):
             )
         )
     for n in (3, 6, 9, 12):
-        fv = f_via_m(mop_fan(n), 1, **kw).value
+        fv = f_via_m(mop_fan(n), 1, budget).value
         checks.append(
             CheckResult(
                 instance=f"fan mop n={n}",
@@ -426,7 +415,7 @@ def suite_mop(seed=1, budget=None):
     return _finish("mop", seed, checks, t0)
 
 
-def suite_accounting(seed=1, budget=None):
+def suite_accounting(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Bookkeeping identities on random orientations: per-position degree
     sums equal the edge count, degree-vector coordinates of a p-set sum to
     its plain degree, and the qualifying-count is monotone in k."""
@@ -474,12 +463,11 @@ def suite_accounting(seed=1, budget=None):
     return _finish("accounting", seed, checks, t0)
 
 
-def suite_join_reduction(seed=1, budget=None):
+def suite_join_reduction(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Two copies of a graph with all cross edges: the largest two-part
     sparse cover of the join doubles the independence number, threshold by
     threshold."""
     t0 = time.perf_counter()
-    kw = _budget_kw(budget)
     rng = random.Random(seed)
     checks = []
     for idx in range(30):
@@ -488,7 +476,7 @@ def suite_join_reduction(seed=1, budget=None):
         g = random_hypergraph(n, 2, m, seed=rng.randrange(1 << 30))
         a = _independence_by_scan(g)
         joined = join_k2(g)
-        mv = m_value(joined, 0, **kw).value
+        mv = m_value(joined, 0, budget).value
         mismatch = [
             t for t in range(2 * n + 2) if (a >= t) != (mv >= 2 * t)
         ]
@@ -599,7 +587,7 @@ SUITES = {
 }
 
 
-def verify_suite(name, seed=1, budget=None) -> VerifySuiteReport:
+def verify_suite(name, seed=1, budget=DEFAULT_NODE_BUDGET) -> VerifySuiteReport:
     """Run one registered suite; raises UnknownSuite for unregistered names."""
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
@@ -607,6 +595,6 @@ def verify_suite(name, seed=1, budget=None) -> VerifySuiteReport:
     return SUITES[name](seed=seed, budget=budget)
 
 
-def run_all(seed=1, budget=None) -> list:
+def run_all(seed=1, budget=DEFAULT_NODE_BUDGET) -> list:
     """Run every registered suite in name-stable order."""
     return [SUITES[name](seed=seed, budget=budget) for name in SUITES]

@@ -15,6 +15,7 @@ from hyperf import (
     canonicalize,
     complete,
     complete_multipartite,
+    f_count,
     read_path,
     to_text,
     write_path,
@@ -100,6 +101,16 @@ def test_f_json_roundtrip(tmp_path, capsys):
     rep = FReport.from_dict(json.loads(capsys.readouterr().out))
     assert rep.value == 2
     assert rep.method == "via-m"
+
+
+def test_f_brute_searches_by_nodes(tmp_path, capsys):
+    # (3!)^20 orientations of K6^(3): a zero is found well inside the budget
+    src = tmp_path / "k6.hg"
+    write_path(complete(6, 3), src)
+    assert main(["f", str(src), "--p", "2", "--k", "1", "--method", "brute", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == 0
+    assert f_count(FReport.from_dict(payload).orientation, 2, 1) == 0
 
 
 def test_f_auto_picks_closed_form(tmp_path, capsys):

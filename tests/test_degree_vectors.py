@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperf import (
+    BudgetExceeded,
     Orientation,
     StuckEdge,
     ascending_orientation,
@@ -50,16 +51,14 @@ def _full(vecs, k):
 
 def _scan_f(h, p):
     """Per level k: the least full count over all orientations scanned in
-    lexicographic order, the first orientation attaining it, and how often
-    the running minimum fell."""
-    best = {k: (None, None, 0) for k in LEVELS}
+    lexicographic order, and the first orientation attaining it."""
+    best = {k: (None, None) for k in LEVELS}
     for orders in product(*(sorted(permutations(edge)) for edge in h.edges)):
         vecs = _direct_vectors(Orientation(h, orders), p)
         for k in LEVELS:
-            value, pick, falls = best[k]
             count = len(_full(vecs, k))
-            if value is None or count < value:
-                best[k] = (count, orders, falls + 1)
+            if best[k][0] is None or count < best[k][0]:
+                best[k] = (count, orders)
     return best
 
 
@@ -110,9 +109,15 @@ def test_degree_vector_consumers_match_direct_count(d, data):
             for t in range(h.n + 2):
                 assert find_tset(d, p, k, t) == _first_tset(h.n, p, t, full)
         if factorial(h.r) ** h.e <= SCAN_LIMIT:
-            for k, (value, orders, falls) in _scan_f(h, p).items():
+            for k, want in _scan_f(h, p).items():
                 rep = f_bruteforce(h, p, k)
-                assert (rep.value, rep.orientation.orders, rep.budget_used) == (value, orders, falls)
+                assert (rep.value, rep.orientation.orders) == want
+                if k >= 1:
+                    # budget_used is the smallest budget that finishes
+                    again = f_bruteforce(h, p, k, budget=rep.budget_used)
+                    assert (again.value, again.orientation.orders) == want
+                    with pytest.raises(BudgetExceeded):
+                        f_bruteforce(h, p, k, budget=rep.budget_used - 1)
         if p in (1, h.r - 1):
             colored = data.draw(st.dictionaries(
                 st.sampled_from(sorted(vecs)), st.integers(0, comb(h.r, p) - 1))) if vecs else {}

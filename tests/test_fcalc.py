@@ -9,7 +9,9 @@ import pytest
 
 from hyperf import (
     BadParams,
+    BadPSet,
     BudgetExceeded,
+    Hypergraph,
     FReport,
     Orientation,
     ThresholdUnknown,
@@ -61,8 +63,22 @@ def test_f_bruteforce_certificate_attains_value():
 
 
 def test_f_bruteforce_budget():
-    with pytest.raises(BudgetExceeded):
+    # the first leaf is node e + 1 = 22, so budget 3 ends before any incumbent
+    with pytest.raises(BudgetExceeded) as exc:
         f_bruteforce(complete(7, 2), 1, 1, budget=3)
+    assert exc.value.best is None
+    # f(K7,1,1) = n - 2, so any incumbent is at least 5
+    with pytest.raises(BudgetExceeded) as exc:
+        f_bruteforce(complete(7, 2), 1, 1, budget=1000)
+    assert isinstance(exc.value.best, int) and exc.value.best >= 5
+
+
+def test_f_bruteforce_rejects_p_outside_one_to_r_minus_one():
+    for p in (0, 3):
+        with pytest.raises(BadPSet):
+            f_bruteforce(complete(4, 3), p, 1)
+        with pytest.raises(BadPSet):
+            f_count(ascending_orientation(complete(4, 3)), p, 1)
 
 
 def test_f_via_m_examples_and_certificates():
@@ -164,6 +180,15 @@ def test_f_threshold_small_cases():
     assert payload["found"] is None and payload["method"] == "via-b"
 
 
+@pytest.mark.parametrize("r, p, k, n_max", [(3, 2, 2, 12), (4, 2, 1, 13)])
+def test_f_threshold_brute_scans_past_five(r, p, k, n_max):
+    res = f_threshold(r, p, k, n_max)
+    assert (res.method, res.found, res.skipped) == ("brute", None, ())
+    assert res.scanned == tuple((n, 0) for n in range(r, n_max + 1))
+    for n in range(r, n_max + 1):
+        assert f_count(f_bruteforce(complete(n, r), p, k).orientation, p, k) == 0
+
+
 def test_known_threshold_table():
     assert get_known_threshold(3, 2, 1) == (17, "recorded")
     assert get_known_threshold(4, 3, 1) == (15202, "recorded-upper")
@@ -185,6 +210,21 @@ def test_find_tset_examples():
     assert find_tset(transitive, 1, 1, 0) == ()
     assert find_tset(transitive, 1, 1, 5) is None
     assert find_tset(ascending_orientation(complete(7, 3)), 1, 1, 1) == (2,)
+
+
+def test_find_tset_at_level_zero_takes_the_first_t_vertices():
+    # every p-set is full at k <= 0; a search this deep overflowed the stack
+    d = ascending_orientation(Hypergraph(1200, 3, ((0, 1, 2),)))
+    assert find_tset(d, 2, 0, 1100) == tuple(range(1100))
+    assert find_tset(d, 1, -1, 1200) == tuple(range(1200))
+    assert find_tset(d, 2, 0, 1201) is None
+
+
+def test_find_tset_checks_p_before_t():
+    d = ascending_orientation(complete(5, 3))
+    for t in (2, d.base.n + 1):
+        with pytest.raises(BadPSet):
+            find_tset(d, 99, 1, t)
 
 
 def test_find_tset_single_vertex_exists_when_closed_form_positive():

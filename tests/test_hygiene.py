@@ -1,9 +1,14 @@
 """Source hygiene: every top-level import of a library module is used there,
-no function imports anything, and every private top-level function or
-class, and every private method, is referenced somewhere."""
+no function imports anything, every private top-level function or class,
+and every private method, is referenced somewhere, and every search
+defaults to the one node budget."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
+
+from hyperf.hypercore import DEFAULT_NODE_BUDGET
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperf"
 
@@ -85,3 +90,27 @@ def test_private_methods_are_referenced():
         and node.name not in referenced
     ]
     assert orphans == []
+
+
+def test_one_default_budget():
+    # a budget constant lives in hypercore only, and every public budget
+    # parameter defaults to it
+    stray = [
+        f"{name}:{target.id}"
+        for name, tree in _parsed_sources().items()
+        if name != "hypercore.py"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_BUDGET")
+    ]
+    for path in sorted(SRC.glob("[!_]*.py")):
+        module = importlib.import_module(f"hyperf.{path.stem}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+                continue
+            budget = inspect.signature(obj).parameters.get("budget")
+            if budget is not None and budget.default is not inspect.Parameter.empty \
+                    and budget.default != DEFAULT_NODE_BUDGET:
+                stray.append(f"{path.name}:{attr}")
+    assert stray == []
