@@ -160,15 +160,18 @@ def build_parser() -> _Parser:
 
 
 def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("HYPERF_BUDGET")
-    if env is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"hyperf: HYPERF_BUDGET must be an integer, got {env!r}")
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env, source = os.environ.get("HYPERF_BUDGET"), "HYPERF_BUDGET"
+        if env is None:
+            return DEFAULT_NODE_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise _UsageError(f"hyperf: HYPERF_BUDGET must be an integer, got {env!r}")
+    if budget < 0:
+        raise _UsageError(f"hyperf: {source} must be >= 0, got {budget}")
+    return budget
 
 
 def _read_hypergraph(path) -> Hypergraph:

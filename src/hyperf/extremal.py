@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from heapq import heappop, heappush
+from operator import and_
 from typing import Iterable
 
 from .hypercore import (
@@ -319,20 +320,30 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
     Branch and bound over vertices in (-degree, index) order: a vertex
     joins each nonempty part, then the first empty one (parts fill in
     index order, which breaks their symmetry), and stays out last.  Each
-    part is a bitmask with its spanned-edge count; adding v counts the
-    edges v closes, stopping once the count passes the cap.  Only a union
-    larger than `incumbent` is recorded, and a vertex stays out only while
-    the rest could still beat it: at n - 1 none ever does, which leaves a
-    search for q independent sets covering V, i.e. a q-coloring.  A
-    stay-out child that the bound prunes is not visited and not counted as
-    a node.  greedy seeds the incumbent with
-    first-fit passes in search, reversed and index order.  A union of all
-    n vertices ends the search.  Returns the size (the incumbent, with
-    empty parts, if nothing beats it), the parts as ascending vertex
-    tuples and the nodes expanded; BudgetExceeded after `budget` nodes
-    carries the incumbent size.
+    part is a bitmask with one more number, restored by the stack frame
+    that undoes a join.  Above cap 0 it is the spanned-edge count, and
+    adding v counts the edges v closes (at r = 2, its neighbours in the
+    part).  At cap 0 it is the blocked mask, the vertices that would close
+    an edge of the part: the fit test is one bit, and a joining v blocks
+    each vertex that one of its edges leaves alone outside the part.
+
+    Only a union larger than `incumbent` is recorded, and a node, or a
+    stay-out child before it is visited or counted, is dead once the
+    undecided vertices could not beat it.  At cap 0 with no part empty, a
+    vertex blocked in every part must stay out (parts only grow below the
+    node and the property is hereditary), so the bound leaves it out: the
+    AND of the blocked masks holds no part's vertex and is 0 while a part
+    is empty, and less the vertices staying out it is the forced ones.
+    This prunes only subtrees with no larger union, so no result changes.
+    At incumbent n - 1 no vertex may stay out, which leaves a search for q
+    independent sets covering V, i.e. a q-coloring.  greedy seeds the
+    incumbent with first-fit passes in search, reversed and index order.
+    A union of all n vertices ends the search.  Returns the size (the
+    incumbent, with empty parts, if nothing beats it), the parts as
+    ascending vertex tuples and the nodes expanded; BudgetExceeded after
+    `budget` nodes carries the incumbent size.
     """
-    n = h.n
+    n, r = h.n, h.r
     degs = h.degrees()
     order = sorted(range(n), key=lambda v: (-degs[v], v))
     closers: list[list[int]] = [[] for _ in range(n)]
@@ -344,43 +355,57 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
             closers[v].append(rest)
             reach[v] |= rest
 
-    def grow(part, count, v):
-        """Edges spanned by part + v, or -1 when that set is not sparse."""
-        # a closed edge needs r-1 part vertices that share an edge with v
-        if (part & reach[v]).bit_count() < h.r - 1:
-            return count
-        grown = count
-        limit = cap * (part.bit_count() + 1)
-        for rest in closers[v]:
-            if rest & part == rest:
-                grown += 1
-                if grown > limit:
-                    return -1
-        if grown > count and exact is not None and not exact(part | 1 << v):
-            return -1
-        return grown
+    if cap == 0:
+        def grow(part, blocked, v):
+            """The blocked mask of part + v, or -1 when v closes an edge."""
+            if blocked >> v & 1:
+                return -1
+            if r == 2:
+                return blocked | reach[v]
+            outside = ~part
+            for rest in closers[v]:
+                alone = rest & outside
+                if alone & (alone - 1) == 0:
+                    blocked |= alone
+            return blocked
+    else:
+        def grow(part, count, v):
+            """Edges spanned by part + v, or -1 when that set is not sparse."""
+            # a closed edge needs r-1 part vertices that share an edge with v
+            near = (part & reach[v]).bit_count()
+            if near < r - 1:
+                return count
+            grown = count + (near if r == 2 else sum(rest & part == rest for rest in closers[v]))
+            if grown > cap * (part.bit_count() + 1):
+                return -1
+            if grown > count and exact is not None and not exact(part | 1 << v):
+                return -1
+            return grown
 
     best, best_parts = incumbent, [0] * q
     if greedy:
         for seq in (order, order[::-1], range(n)):
-            parts, counts = [0] * q, [0] * q
+            parts, aux = [0] * q, [0] * q
             for v in seq:
                 for j in range(q):
-                    grown = grow(parts[j], counts[j], v)
+                    grown = grow(parts[j], aux[j], v)
                     if grown >= 0:
                         parts[j] |= 1 << v
-                        counts[j] = grown
+                        aux[j] = grown
                         break
             used = sum(part.bit_count() for part in parts)
             if used > best:
                 best, best_parts = used, parts
+                if best == n:
+                    break
 
-    parts, counts = [0] * q, [0] * q
+    parts, aux = [0] * q, [0] * q
 
-    # depth-first over frames (part index, part before, count before), one per
-    # decided vertex instead of recursion; part index q: the vertex stays out
+    # depth-first over frames (part index, part before, its number before), one
+    # per decided vertex instead of recursion; part index q: the vertex stays
+    # out and is in the mask `out`
     stack: list[tuple[int, int, int]] = []
-    used = nodes = j = 0  # j: next part to try at depth len(stack), 0 on entry
+    used = nodes = j = out = 0  # j: next part to try at depth len(stack), 0 on entry
     while True:
         i = len(stack)
         dead = False
@@ -392,32 +417,38 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
                 best, best_parts = used, parts[:]
                 if best == n:
                     break
-            dead = used + (n - i) <= best
+            slack = used + n - i - best
+            dead = slack <= 0 or not cap and (reduce(and_, aux) & ~out).bit_count() >= slack
         if not dead:
             v = order[i]
             while j < q and (j == 0 or parts[j - 1]):
-                part, count = parts[j], counts[j]
-                grown = grow(part, count, v)
+                part, old = parts[j], aux[j]
+                grown = grow(part, old, v)
                 if grown >= 0:
-                    parts[j], counts[j] = part | 1 << v, grown
+                    parts[j], aux[j] = part | 1 << v, grown
                     used += 1
                     break
                 j += 1
             else:
-                j, part, count = q, 0, 0
+                j, part, old = q, 0, 0
+                out |= 1 << v
                 # a stay-out child that cannot beat best is pruned unvisited
-                dead = used + (n - i - 1) <= best
+                slack = used + n - i - 1 - best
+                dead = slack <= 0 or not cap and (reduce(and_, aux) & ~out).bit_count() >= slack
+                if dead:
+                    out ^= 1 << v
             if not dead:
-                stack.append((j, part, count))
+                stack.append((j, part, old))
                 j = 0
                 continue
         while stack:
-            j, part, count = stack.pop()
+            j, part, old = stack.pop()
             if j < q:
-                parts[j], counts[j] = part, count
+                parts[j], aux[j] = part, old
                 used -= 1
                 j += 1
                 break
+            out ^= 1 << order[len(stack)]
         else:
             break
 

@@ -246,6 +246,21 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     assert main(["m", str(src), "--k", "1"]) == 1
 
 
+def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "k5.hg"
+    write_path(complete(5, 3), src)
+    assert main(["b", str(src), "--p", "2", "--budget", "-5"]) == 1
+    assert "--budget must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_negative_budget_env_var_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "k5.hg"
+    write_path(complete(5, 3), src)
+    monkeypatch.setenv("HYPERF_BUDGET", "-1")
+    assert main(["chi-r", str(src), "--p", "2"]) == 1
+    assert "HYPERF_BUDGET must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_gen_json_output(capsys):
     assert main(["gen", "complete", "--n", "3", "--r", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -322,10 +322,112 @@ def test_sparse_parts_search_is_not_bound_by_recursion_depth():
 def test_coloring_search_visits_no_stay_out_dead_end():
     # a vertex that can join no color would stay out, which the incumbent
     # n - 1 prunes at once: such a child is neither visited nor counted
-    assert chi_r(complete(7, 3), 2, budget=2435) == 3
+    assert chi_r(complete(7, 3), 2, budget=775) == 3
     with pytest.raises(BudgetExceeded) as err:
-        chi_r(complete(7, 3), 2, budget=2434)
+        chi_r(complete(7, 3), 2, budget=774)
     assert (err.value.lower, err.value.upper) == (3, 6)
+
+
+def test_b_of_complete_triple_system_on_eight_vertices_node_count():
+    assert b_value(complete(8, 3), 2, budget=13904).value == 28
+    with pytest.raises(BudgetExceeded):
+        b_value(complete(8, 3), 2, budget=13903)
+
+
+def test_chi_r_of_complete_triple_system_on_eight_vertices_node_count():
+    # 1,009 nodes refute two colors and 5,893 find three
+    assert chi_r(complete(8, 3), 2, budget=6902) == 3
+    with pytest.raises(BudgetExceeded) as err:
+        chi_r(complete(8, 3), 2, budget=6901)
+    assert (err.value.lower, err.value.upper) == (3, 7)
+
+
+def _reference_sparse_parts(h, q, cap, exact=None, greedy=False, incumbent=0):
+    """The sparse-parts search without blocked masks, as the oracle for the
+    engine: the same static order and part order, a scan of v's edges per
+    tried part and the bound used + undecided.  Returns the size, the parts
+    as bitmasks and the nodes visited."""
+    n = h.n
+    degs = h.degrees()
+    order = sorted(range(n), key=lambda v: (-degs[v], v))
+    closers = [[] for _ in range(n)]
+    for edge in h.edges:
+        for v in edge:
+            closers[v].append(sum(1 << u for u in edge if u != v))
+
+    def grow(part, count, v):
+        grown = count + sum(rest & part == rest for rest in closers[v])
+        if grown > cap * (part.bit_count() + 1):
+            return -1
+        if grown > count and exact is not None and not exact(part | 1 << v):
+            return -1
+        return grown
+
+    best, best_parts = incumbent, [0] * q
+    if greedy:
+        for seq in (order, order[::-1], range(n)):
+            parts, counts = [0] * q, [0] * q
+            for v in seq:
+                for j in range(q):
+                    grown = grow(parts[j], counts[j], v)
+                    if grown >= 0:
+                        parts[j] |= 1 << v
+                        counts[j] = grown
+                        break
+            used = sum(part.bit_count() for part in parts)
+            if used > best:
+                best, best_parts = used, parts
+    parts, counts = [0] * q, [0] * q
+    nodes = 0
+
+    def search(i, used):
+        nonlocal best, best_parts, nodes
+        nodes += 1
+        if i == n and used > best:
+            best, best_parts = used, parts[:]
+        if used + n - i <= best:
+            return
+        v = order[i]
+        for j in range(q):
+            if j and not parts[j - 1]:
+                break
+            part, count = parts[j], counts[j]
+            grown = grow(part, count, v)
+            if grown >= 0:
+                parts[j], counts[j] = part | 1 << v, grown
+                search(i + 1, used + 1)
+                parts[j], counts[j] = part, count
+                if best == n:
+                    return
+        if used + n - i - 1 > best:
+            search(i + 1, used)
+
+    search(0, 0)
+    return best, best_parts, nodes
+
+
+def test_blocked_masks_keep_witnesses_and_never_add_nodes():
+    rng = random.Random(13)
+    fewer = 0
+    for _ in range(800):
+        r = rng.randint(2, 4)
+        n = rng.randint(r, 10)
+        # dense inputs, since sparse ones rarely fill every part; cap 0, where
+        # the blocked masks prune, is drawn twice as often
+        h = random_hypergraph(n, r, rng.randint(comb(n, r) // 3, comb(n, r)), seed=rng.randrange(10**6))
+        q, cap = rng.randint(1, 3), rng.choice((0, 0, 1, 2))
+        hakimi = cap > 0 and rng.random() < 0.5
+        greedy, incumbent = rng.random() < 0.5, rng.choice((0, n - 1))
+        size, parts, nodes = _reference_sparse_parts(
+            h, q, cap, extremal._hakimi_oracle(h, cap) if hakimi else None, greedy, incumbent)
+        got = extremal._sparse_parts(h, q, cap, 10**6, "test search",
+                                     extremal._hakimi_oracle(h, cap) if hakimi else None,
+                                     greedy, incumbent)
+        assert got[:2] == (size, tuple(extremal._members(part) for part in parts))
+        # only cap 0 keeps blocked masks; above it the search is unchanged
+        assert got[2] <= nodes if cap == 0 else got[2] == nodes
+        fewer += got[2] < nodes
+    assert fewer >= 100
 
 
 def test_chromatic_search_is_not_bound_by_recursion_depth():
