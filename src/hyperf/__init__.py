@@ -35,6 +35,7 @@ from .hypercore import (
     random_hypergraph,
     random_orientation,
     read_path,
+    to_json,
     to_text,
     write_path,
 )

@@ -12,7 +12,6 @@ invocation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -27,6 +26,7 @@ from .hypercore import (
     Orientation,
     generate,
     read_path,
+    to_json,
     to_text,
     write_path,
 )
@@ -181,11 +181,6 @@ def _read_hypergraph(path) -> Hypergraph:
     return obj
 
 
-def _emit_json(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
 def _is_complete(h: Hypergraph) -> bool:
     return h.e == comb(h.n, h.r)
 
@@ -253,11 +248,11 @@ def _cmd_gen(args, budget) -> int:
     if args.output:
         write_path(h, args.output)
         if args.json:
-            _emit_json({"written": args.output, "n": h.n, "r": h.r, "e": h.e})
+            print(to_json({"written": args.output, "n": h.n, "r": h.r, "e": h.e}))
         elif not args.quiet:
             print(f"wrote {args.output}: n={h.n} r={h.r} e={h.e}")
     elif args.json:
-        _emit_json({"n": h.n, "r": h.r, "edges": [list(e) for e in h.edges]})
+        print(to_json(h))
     else:
         sys.stdout.write(to_text(h))
     return EXIT_OK
@@ -274,8 +269,7 @@ def _cmd_mad(args, budget) -> int:
     h = _read_hypergraph(args.file)
     if args.json:
         value, witness, spread = mad_certificate(h)
-        _emit_json({"mad": f"{value.numerator}/{value.denominator}",
-                    "witness": list(witness), "spread": [list(row) for row in spread]})
+        print(to_json({"mad": value, "witness": witness, "spread": spread}))
     else:
         value, witness = mad_exact(h)
         print(f"{value.numerator}/{value.denominator}")
@@ -288,7 +282,7 @@ def _cmd_degeneracy(args, budget) -> int:
     h = _read_hypergraph(args.file)
     value, order = degeneracy(h)
     if args.json:
-        _emit_json({"degeneracy": value, "order": list(order)})
+        print(to_json({"degeneracy": value, "order": order}))
     else:
         print(value)
         if not args.quiet:
@@ -306,17 +300,15 @@ def _cmd_orient(args, budget) -> int:
         result = orient_budget(h, _read_budget_file(args.budget_file))
     if isinstance(result, Infeasible):
         if args.json:
-            _emit_json({"feasible": False, "witness": list(result.witness),
-                        "edges_inside": result.edges_inside,
-                        "capacity": result.capacity})
+            print(to_json({"feasible": False, "witness": result.witness,
+                           "edges_inside": result.edges_inside, "capacity": result.capacity}))
         else:
             inside = " ".join(str(v) for v in result.witness)
             print(f"infeasible: vertices {inside} span {result.edges_inside} "
                   f"edges but have total capacity {result.capacity}")
         return EXIT_NEGATIVE
     if args.json:
-        _emit_json({"feasible": True,
-                    "orders": [list(o) for o in result.orders]})
+        print(to_json({"feasible": True, "orders": result.orders}))
         if args.output:
             write_path(result, args.output)
     elif args.output:
@@ -377,7 +369,7 @@ def _cmd_f(args, budget) -> int:
     else:
         rep = f_bruteforce(h, args.p, args.k, budget)
     if args.json:
-        _emit_json(rep.to_dict())
+        print(to_json(rep))
     else:
         print(rep.value)
         if not args.quiet:
@@ -389,7 +381,7 @@ def _cmd_chi_r(args, budget) -> int:
     h = _read_hypergraph(args.file)
     value = chi_r(h, args.p, budget)
     if args.json:
-        _emit_json({"chi_r": value, "p": args.p})
+        print(to_json({"chi_r": value, "p": args.p}))
     else:
         print(value)
     return EXIT_OK
@@ -399,8 +391,7 @@ def _cmd_b(args, budget) -> int:
     h = _read_hypergraph(args.file)
     result = b_value(h, args.p, budget)
     if args.json:
-        _emit_json({"b": result.value, "p": args.p,
-                    "coloring": result.coloring.to_dict()})
+        print(to_json({"b": result.value, "p": args.p, "coloring": result.coloring}))
     else:
         print(result.value)
         if not args.quiet:
@@ -415,9 +406,8 @@ def _cmd_m(args, budget) -> int:
     h = _read_hypergraph(args.file)
     result = m_value(h, args.k, budget)
     if args.json:
-        _emit_json({"m": result.value, "k": args.k,
-                    "parts": [list(p) for p in result.parts],
-                    "remainder": list(result.remainder)})
+        print(to_json({"m": result.value, "k": args.k, "parts": result.parts,
+                       "remainder": result.remainder}))
     else:
         print(result.value)
         if not args.quiet:
@@ -430,7 +420,7 @@ def _cmd_bounds(args, budget) -> int:
     h = _read_hypergraph(args.file)
     rows = bounds(h, args.k, budget)
     if args.json:
-        _emit_json({"k": args.k, "bounds": [b.to_dict() for b in rows]})
+        print(to_json({"k": args.k, "bounds": rows}))
     else:
         for b in rows:
             if not b.applicable and args.quiet:
@@ -448,13 +438,13 @@ def _cmd_tset(args, budget) -> int:
     found = find_tset(obj, args.p, args.k, args.t, budget)
     if found is None:
         if args.json:
-            _emit_json({"found": False, "p": args.p, "k": args.k, "t": args.t})
+            print(to_json({"found": False, "p": args.p, "k": args.k, "t": args.t}))
         else:
             print(f"no {args.t}-set with all {args.p}-subsets everywhere-full "
                   f"at level {args.k}")
         return EXIT_NEGATIVE
     if args.json:
-        _emit_json({"found": True, "tset": list(found)})
+        print(to_json({"found": True, "tset": found}))
     else:
         print(" ".join(str(v) for v in found))
     return EXIT_OK
@@ -463,7 +453,7 @@ def _cmd_tset(args, budget) -> int:
 def _cmd_pack(args, budget) -> int:
     result = packing_bound(args.n, args.r, args.p, args.k, m=args.m, budget=budget)
     if args.json:
-        _emit_json(result.to_dict())
+        print(to_json(result))
     else:
         print(result.count)
         if not args.quiet and result.blocks:
@@ -476,8 +466,7 @@ def _cmd_verify(args, budget) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [verify_suite(name, seed=args.seed, budget=budget) for name in names]
     if args.json:
-        payload = [r.to_dict() for r in reports]
-        _emit_json(payload[0] if len(payload) == 1 else {"suites": payload})
+        print(to_json(reports[0] if len(reports) == 1 else {"suites": reports}))
     else:
         for rep in reports:
             print(f"{rep.suite}: {rep.passed} passed, {rep.failed} failed "

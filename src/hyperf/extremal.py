@@ -30,6 +30,7 @@ from .hypercore import (
     BudgetExceeded,
     Hypergraph,
     HyperfError,
+    _check_budget,
 )
 from .netflow import FlowNetwork
 from .orient import _reorient
@@ -264,6 +265,7 @@ def chromatic_exact(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     budget bounds the nodes of all q together; BudgetExceeded on budget
     exhaustion carries the proven bracket.
     """
+    _check_budget(budget)
     if h.n == 0:
         return 0
     if h.e == 0:
@@ -457,11 +459,13 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
 
 def alpha(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Independence number: largest set containing no full edge."""
+    _check_budget(budget)
     return _sparse_parts(h, 1, 0, budget, "subset search")[0]
 
 
 def beta(h: Hypergraph, d: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest vertex set whose induced sub-hypergraph is d-degenerate."""
+    _check_budget(budget)
     if d < 0:
         raise BadParams(f"degeneracy bound must be >= 0, got {d}")
 
@@ -473,6 +477,7 @@ def beta(h: Hypergraph, d: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
 
 def alpha2(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest union of two disjoint independent sets of a graph."""
+    _check_budget(budget)
     if g.r != 2:
         raise BadParams("alpha2 is defined for graphs (r=2)")
     return _sparse_parts(g, 2, 0, budget, "alpha2 search")[0]
@@ -486,6 +491,7 @@ def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     hypergraph of g's triangles, found by the sparse-parts search.
     BudgetExceeded carries the smallest hitting set found as `best`.
     """
+    _check_budget(budget)
     if g.r != 2:
         raise BadParams("hit_triangles is defined for graphs (r=2)")
     later = [set() for _ in range(g.n)]  # the neighbours above each vertex
@@ -547,6 +553,7 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
     set, so a failed part is never extended.  At k = 0 no part spans an
     edge, so no test is built.
     """
+    _check_budget(budget)
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
     mad_ok = _hakimi_oracle(h, k) if k > 0 else None

@@ -18,15 +18,15 @@ from itertools import combinations, permutations
 from .hypercore import (
     DEFAULT_NODE_BUDGET,
     BadParams,
-    BadPSet,
     BudgetExceeded,
     Hypergraph,
     HyperfError,
     Orientation,
     PositionIndex,
+    _check_budget,
+    _check_p,
     _touched_vectors,
     ascending_orientation,
-    orientation_from_rows,
 )
 from .extremal import (
     alpha,
@@ -56,44 +56,6 @@ class FReport:
     witness_remainder: tuple[int, ...] | None = None
     witness_coloring: dict | None = None
     budget_used: int | None = None
-
-    def to_dict(self) -> dict:
-        d = {"value": self.value, "method": self.method, "budget_used": self.budget_used}
-        if self.orientation is not None:
-            d["orientation"] = orientation_to_dict(self.orientation)
-        if self.witness_parts is not None:
-            d["witness_parts"] = [list(p) for p in self.witness_parts]
-        if self.witness_remainder is not None:
-            d["witness_remainder"] = list(self.witness_remainder)
-        if self.witness_coloring is not None:
-            d["witness_coloring"] = [[list(a), c] for a, c in sorted(self.witness_coloring.items())]
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "FReport":
-        ori = d.get("orientation")
-        coloring = d.get("witness_coloring")
-        return FReport(
-            value=d["value"],
-            method=d["method"],
-            orientation=orientation_from_dict(ori) if ori else None,
-            witness_parts=tuple(tuple(p) for p in d["witness_parts"])
-            if d.get("witness_parts") is not None
-            else None,
-            witness_remainder=tuple(d["witness_remainder"])
-            if d.get("witness_remainder") is not None
-            else None,
-            witness_coloring={tuple(a): c for a, c in coloring} if coloring else None,
-            budget_used=d.get("budget_used"),
-        )
-
-
-def orientation_to_dict(d: Orientation) -> dict:
-    return {"n": d.base.n, "r": d.base.r, "orders": [list(o) for o in d.orders]}
-
-
-def orientation_from_dict(d: dict) -> Orientation:
-    return orientation_from_rows(d["orders"], d["n"], d["r"])
 
 
 # ------------------------------------------------------------------ counting
@@ -125,10 +87,10 @@ def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGE
     expanded, the smallest budget that finishes; k = 0 needs no search
     and expands none.
     """
+    _check_budget(budget)
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
-    if not (1 <= p <= h.r - 1):
-        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
+    _check_p(p, h.r)
     if k == 0:
         return FReport(
             value=math.comb(h.n, p),
@@ -287,19 +249,6 @@ class Bound:
     inputs: dict = field(default_factory=dict)
     note: str = ""
 
-    def to_dict(self) -> dict:
-        val = self.value
-        if isinstance(val, Fraction):
-            val = f"{val.numerator}/{val.denominator}"
-        return {
-            "name": self.name,
-            "side": self.side,
-            "value": val,
-            "applicable": self.applicable,
-            "inputs": dict(self.inputs),
-            "note": self.note,
-        }
-
 
 def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bound]:
     """Every evaluable lower/upper bound on f(H,1,k), with its inputs.
@@ -342,11 +291,9 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
         avg = Fraction(2 * h.e, n)
         if avg >= 4 * k - 2:
             val = (avg - (2 * k - 1)) / (avg + 1) * n
-            out.append(Bound("average-degree", "upper", val, True,
-                             {"avg_degree": f"{avg.numerator}/{avg.denominator}"}))
+            out.append(Bound("average-degree", "upper", val, True, {"avg_degree": avg}))
         else:
-            out.append(Bound("average-degree", "upper", None, False,
-                             {"avg_degree": f"{avg.numerator}/{avg.denominator}"},
+            out.append(Bound("average-degree", "upper", None, False, {"avg_degree": avg},
                              f"needs average degree >= 4k-2 = {4 * k - 2}"))
         if k == 1:
             out.append(Bound("independence-upper", "upper",
@@ -384,9 +331,6 @@ class EdgeBound:
     value: int
     capped: bool
     exact_ratio: bool
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "capped": self.capped, "exact_ratio": self.exact_ratio}
 
 
 def edge_bound(n: int, r: int, k: int) -> EdgeBound:
@@ -428,13 +372,6 @@ class ThresholdResult:
     skipped: tuple[int, ...]
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r, "p": self.p, "k": self.k, "found": self.found,
-            "scanned": [list(x) for x in self.scanned],
-            "skipped": list(self.skipped), "method": self.method,
-        }
-
 
 def tset_threshold_q(r: int, p: int, k: int) -> int:
     """Smallest q with (k-1)C(q,p) < C(q,r): guarantees a large all-deficient
@@ -451,11 +388,11 @@ def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE
     """Lexicographically first t-set whose p-subsets are all everywhere-full
     at level k, or None when no such t-set exists.  At k <= 0 every p-set is
     full; otherwise only p-sets inside some edge can be."""
+    _check_budget(budget)
     h = d.base
     if t < 0:
         raise BadParams(f"t must be >= 0, got {t}")
-    if not (1 <= p <= h.r - 1):
-        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
+    _check_p(p, h.r)
     if t > h.n:
         return None
     if t < p or k <= 0:
@@ -495,9 +432,6 @@ class PackingResult:
     blocks: tuple[tuple[int, ...], ...]
     count: int
 
-    def to_dict(self) -> dict:
-        return {"m": self.m, "blocks": [list(b) for b in self.blocks], "count": self.count}
-
 
 def greedy_packing(n: int, m: int, p: int,
                    budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, ...]]:
@@ -509,6 +443,7 @@ def greedy_packing(n: int, m: int, p: int,
     lexicographic order; BudgetExceeded after `budget` blocks carries the
     number accepted so far as `best`.
     """
+    _check_budget(budget)
     if not (1 <= p <= m):
         raise BadParams(f"need 1 <= p <= m, got p={p} m={m}")
     if n < 0:
@@ -533,6 +468,7 @@ def packing_bound(n: int, r: int, p: int, k: int, m: int | None = None,
     m-sets, m = f(r,p,k), must contain an everywhere-full p-set, and blocks
     share none.  m is resolved from the closed form (p=1) or the recorded
     exact table unless given; `budget` bounds greedy_packing's scan."""
+    _check_budget(budget)
     if m is None:
         if p == 1:
             m = r * complete_part_size(r, k) + 1

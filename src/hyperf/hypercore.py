@@ -14,9 +14,12 @@ which A occupies exactly that set of positions.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -64,6 +67,17 @@ class BudgetExceeded(HyperfError):
 
 
 DEFAULT_NODE_BUDGET = 10**7
+
+
+def _check_budget(budget: int):
+    """Every public search, or the first search it calls, checks its budget here first."""
+    if budget < 0:
+        raise BadParams(f"budget must be >= 0, got {budget}")
+
+
+def _check_p(p: int, r: int):
+    if not (1 <= p <= r - 1):
+        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
 
 
 @dataclass(frozen=True)
@@ -257,10 +271,8 @@ def degree_vectors(d: Orientation, p: int) -> dict[tuple[int, ...], list[int]]:
 def _touched_vectors(d: Orientation, p: int) -> dict[tuple[int, ...], list[int]]:
     """Degree vectors of the p-sets inside some edge, in one pass over the
     edges; every other p-set has all-zero coordinates."""
-    h = d.base
-    if not (1 <= p <= h.r - 1):
-        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
-    pidx = PositionIndex(h.r, p)
+    _check_p(p, d.base.r)
+    pidx = PositionIndex(d.base.r, p)
     acc: dict[tuple[int, ...], list[int]] = {}
     for order in d.orders:
         for rank, a in enumerate(pidx.placements(order)):
@@ -422,6 +434,34 @@ def to_text(obj: Hypergraph | Orientation) -> str:
     else:
         raise BadParams(f"cannot serialize {type(obj).__name__}")
     return "\n".join(lines) + "\n"
+
+
+def to_json(obj) -> str:
+    """One JSON document, indented by 2 with sorted keys, for any report.
+
+    A dataclass becomes the object of its fields (None prints as null),
+    except an Orientation, which becomes {n, r, orders}.  A Fraction
+    becomes "a/b".  A map keyed by tuples (a p-set colouring) becomes its
+    sorted [key, value] pairs; any other map stays an object.  A tuple
+    becomes a list.
+    """
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+
+
+def _jsonable(obj):
+    if isinstance(obj, Orientation):
+        obj = {"n": obj.base.n, "r": obj.base.r, "orders": obj.orders}
+    elif dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        if any(isinstance(key, tuple) for key in obj):
+            return [[_jsonable(k), _jsonable(v)] for k, v in sorted(obj.items())]
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    return obj
 
 
 def from_text(text: str) -> Hypergraph | Orientation:

@@ -22,6 +22,8 @@ from .hypercore import (
     BadPSet,
     BudgetExceeded,
     Hypergraph,
+    _check_budget,
+    _check_p,
     canonicalize,
     complete,
 )
@@ -51,17 +53,6 @@ class PSetColoring:
             if not (0 <= c < self.colors):
                 raise BadParams(f"color {c} outside 0..{self.colors - 1}")
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "colors": self.colors,
-            "colored": [[list(a), c] for a, c in sorted(self.colored.items())],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PSetColoring":
-        return PSetColoring(d["p"], d["colors"], {tuple(a): c for a, c in d["colored"]})
-
 
 def check_mono(h: Hypergraph, coloring: PSetColoring) -> list[tuple[int, ...]]:
     """Edges whose p-subsets are all colored and all alike."""
@@ -80,8 +71,7 @@ def derived_pset_hypergraph(h: Hypergraph, p: int) -> Hypergraph:
     is a proper coloring of this hypergraph, so chi_r reduces to exact
     hypergraph coloring.
     """
-    if not (1 <= p <= h.r - 1):
-        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
+    _check_p(p, h.r)
     ranks = {a: i for i, a in enumerate(combinations(range(h.n), p))}
     edges = [
         tuple(sorted(ranks[s] for s in combinations(edge, p))) for edge in h.edges
@@ -91,8 +81,8 @@ def derived_pset_hypergraph(h: Hypergraph, p: int) -> Hypergraph:
 
 def chi_r(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Fewest colors on all p-sets leaving no edge p-monochromatic."""
-    if not (1 <= p <= h.r - 1):
-        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
+    _check_budget(budget)
+    _check_p(p, h.r)
     if h.e == 0:
         return 1
     return chromatic_exact(derived_pset_hypergraph(h, p), budget)
@@ -113,6 +103,7 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     cap 0 over p-set ranks: p-sets in decreasing edge-incidence order, used
     colors first, then the next new color, and uncolored last.
     """
+    _check_budget(budget)
     derived = derived_pset_hypergraph(h, p)
     value, classes, _ = _sparse_parts(derived, derived.r, 0, budget, "b search")
     psets = list(combinations(range(h.n), p))
@@ -129,6 +120,7 @@ def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_NODE_B
     budget-blown n values are skipped and reported, which voids any
     "not found up to n_max" reading.
     """
+    _check_budget(budget)
     if not (1 <= p <= r - 1) or k < 1 or n_max < 1:
         raise BadParams(f"bad threshold query r={r} p={p} k={k} n_max={n_max}")
     scanned = []

@@ -20,6 +20,7 @@ from .hypercore import (
     DEFAULT_NODE_BUDGET,
     Hypergraph,
     HyperfError,
+    _check_budget,
     canonicalize,
     complement,
     complete,
@@ -57,23 +58,6 @@ class CheckResult:
     values: dict
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "relation": self.relation,
-            "values": dict(self.values),
-            "ok": self.ok,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckResult":
-        return cls(
-            instance=data["instance"],
-            relation=data["relation"],
-            values=dict(data["values"]),
-            ok=bool(data["ok"]),
-        )
-
 
 @dataclass
 class VerifySuiteReport:
@@ -83,33 +67,12 @@ class VerifySuiteReport:
     seed: int
     checks: list = field(default_factory=list)
     seconds: float = 0.0
+    passed: int = field(init=False)
+    failed: int = field(init=False)
 
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.ok)
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.checks if not c.ok)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "passed": self.passed,
-            "failed": self.failed,
-            "seconds": self.seconds,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerifySuiteReport":
-        return cls(
-            suite=data["suite"],
-            seed=data["seed"],
-            checks=[CheckResult.from_dict(c) for c in data["checks"]],
-            seconds=data["seconds"],
-        )
+    def __post_init__(self):
+        self.passed = sum(1 for c in self.checks if c.ok)
+        self.failed = len(self.checks) - self.passed
 
 
 def _finish(name, seed, checks, t0) -> VerifySuiteReport:
@@ -144,6 +107,7 @@ def suite_hakimi(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Orientability with first-position degree <= k at every vertex is
     equivalent to Mad(H) <= r*k; the feasible orientations really attain
     the bound and the flow route agrees with subset enumeration."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     checks = []
     for idx, h in enumerate(random_corpus(200, seed)):
@@ -170,6 +134,7 @@ def suite_hakimi(seed=1, budget=DEFAULT_NODE_BUDGET):
 def suite_via_m(seed=1, budget=DEFAULT_NODE_BUDGET):
     """f(H,1,k) computed by full orientation scan equals n - M(H,k-1), and
     the partition-built certificate orientation attains the value."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     checks = []
     for idx, h in enumerate(random_corpus(100, seed, ranks=(2, 3), n_max=6, e_max=6)):
@@ -193,6 +158,7 @@ def suite_closed_form(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Complete hypergraphs: the partition route matches the closed form
     max(n - r*t, 0), and the full orientation scan confirms it at the
     smallest sizes."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     checks = []
     for r in (2, 3):
@@ -234,6 +200,7 @@ def suite_closed_form(seed=1, budget=DEFAULT_NODE_BUDGET):
 def suite_ramsey_chi(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Ramsey pair-chromatic numbers of small complete 3-uniform
     hypergraphs: 2 up to five vertices, 3 at six."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     checks = []
     for n, expected in ((3, 2), (4, 2), (5, 2), (6, 3)):
@@ -252,6 +219,7 @@ def suite_ramsey_chi(seed=1, budget=DEFAULT_NODE_BUDGET):
 def suite_via_b(seed=1, budget=DEFAULT_NODE_BUDGET):
     """k=1 exact identity f(H,p,1) == C(n,p) - b(H,p) for p in {1, r-1},
     with the forbidden-coordinate certificate attaining the value."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     checks = []
     for idx, h in enumerate(random_corpus(50, seed, ranks=(3,), n_max=6, e_max=6)):
@@ -274,6 +242,7 @@ def suite_via_b(seed=1, budget=DEFAULT_NODE_BUDGET):
 def suite_multipartite(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Complete multipartite closed form: sum of the class sizes beyond the
     two largest, minus 2k - 2, matched by the partition route."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     checks = []
     for sizes in ((7, 7, 3), (3, 3, 2), (4, 4, 2, 2)):
@@ -296,6 +265,7 @@ def suite_perfect_graph(seed=1, budget=DEFAULT_NODE_BUDGET):
     """On complete multipartite and bipartite graphs, f(G,1) equals the
     minimum number of vertices meeting every triangle, found by a subset
     scan."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     checks = []
@@ -334,6 +304,7 @@ def suite_complement(seed=1, budget=DEFAULT_NODE_BUDGET):
     """f(G,1) + f(complement(G),1) >= n - 4 for every graph on up to six
     vertices, with equality on disjoint unions of two cliques; the clique
     union / complete bipartite pair meets both closed-form bounds at k=1."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     checks = []
@@ -387,6 +358,7 @@ def suite_complement(seed=1, budget=DEFAULT_NODE_BUDGET):
 def suite_mop(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Maximal outerplanar graphs: 1 <= f(G,1) <= n/3, and the fan
     triangulation attains the lower end."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     checks = []
@@ -419,6 +391,7 @@ def suite_accounting(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Bookkeeping identities on random orientations: per-position degree
     sums equal the edge count, degree-vector coordinates of a p-set sum to
     its plain degree, and the qualifying-count is monotone in k."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     checks = []
@@ -467,6 +440,7 @@ def suite_join_reduction(seed=1, budget=DEFAULT_NODE_BUDGET):
     """Two copies of a graph with all cross edges: the largest two-part
     sparse cover of the join doubles the independence number, threshold by
     threshold."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     checks = []

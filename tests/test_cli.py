@@ -9,12 +9,14 @@ import pytest
 from test_extremal import _planted_dense_3graph
 
 from hyperf import (
-    FReport,
     Orientation,
     PSetColoring,
+    b_value,
     canonicalize,
+    check_mono,
     complete,
     complete_multipartite,
+    f_bruteforce,
     f_count,
     read_path,
     to_text,
@@ -22,6 +24,7 @@ from hyperf import (
 )
 import hyperf.cli
 from hyperf.cli import main
+from hyperf.hypercore import orientation_from_rows
 from hyperf.verify import SUITES, CheckResult, VerifySuiteReport
 
 
@@ -94,13 +97,19 @@ def test_orient_needs_exactly_one_mode(tmp_path, capsys):
     assert main(["orient", str(src)]) == 1
 
 
+def _orientation_of(payload):
+    ori = payload["orientation"]
+    return orientation_from_rows(ori["orders"], ori["n"], ori["r"])
+
+
 def test_f_json_roundtrip(tmp_path, capsys):
     src = tmp_path / "k4.hg"
     write_path(complete(4, 2), src)
     assert main(["f", str(src), "--json", "--method", "via-m"]) == 0
-    rep = FReport.from_dict(json.loads(capsys.readouterr().out))
-    assert rep.value == 2
-    assert rep.method == "via-m"
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == 2
+    assert payload["method"] == "via-m"
+    assert f_count(_orientation_of(payload), 1, 1) == 2
 
 
 def test_f_brute_searches_by_nodes(tmp_path, capsys):
@@ -110,7 +119,7 @@ def test_f_brute_searches_by_nodes(tmp_path, capsys):
     assert main(["f", str(src), "--p", "2", "--k", "1", "--method", "brute", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 0
-    assert f_count(FReport.from_dict(payload).orientation, 2, 1) == 0
+    assert f_count(_orientation_of(payload), 2, 1) == 0
 
 
 def test_f_auto_picks_closed_form(tmp_path, capsys):
@@ -152,8 +161,10 @@ def test_b_json_coloring_roundtrip(tmp_path, capsys):
     assert main(["b", str(src), "--p", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["b"] == 10
-    coloring = PSetColoring.from_dict(payload["coloring"])
+    data = payload["coloring"]
+    coloring = PSetColoring(data["p"], data["colors"], {tuple(a): c for a, c in data["colored"]})
     assert len(coloring.colored) == 10
+    assert check_mono(complete(5, 3), coloring) == []
 
 
 def test_b_search_deeper_than_recursion_limit(tmp_path, capsys):
@@ -267,6 +278,88 @@ def test_gen_json_output(capsys):
     assert payload == {"n": 3, "r": 2, "edges": [[0, 1], [0, 2], [1, 2]]}
 
 
+def _json_of(capsys, argv, code=0):
+    assert main([*argv, "--json"]) == code
+    return json.loads(capsys.readouterr().out)
+
+
+_FREPORT_KEYS = {"value", "method", "budget_used", "orientation", "witness_parts",
+                 "witness_remainder", "witness_coloring"}
+_VERIFY_KEYS = {"suite", "seed", "passed", "failed", "seconds", "checks"}
+
+
+@pytest.mark.parametrize("argv, code, keys", [
+    (["gen", "complete", "--n", "3", "--r", "2"], 0, {"n", "r", "edges"}),
+    (["gen", "complete", "--n", "3", "--r", "2", "-o", "{dir}/out.hg"], 0,
+     {"written", "n", "r", "e"}),
+    (["mad", "{k4}"], 0, {"mad", "witness", "spread"}),
+    (["degeneracy", "{k4}"], 0, {"degeneracy", "order"}),
+    (["orient", "{k4}", "--max-outdeg", "2"], 0, {"feasible", "orders"}),
+    (["orient", "{k4}", "--max-outdeg", "1"], 2,
+     {"feasible", "witness", "edges_inside", "capacity"}),
+    (["f", "{k4}"], 0, _FREPORT_KEYS),
+    (["f", "{k4}", "--method", "via-m"], 0, _FREPORT_KEYS),
+    (["f", "{k43}", "--p", "2", "--method", "brute"], 0, _FREPORT_KEYS),
+    (["f", "{k53}", "--p", "2", "--method", "via-b"], 0, _FREPORT_KEYS),
+    (["chi-r", "{k53}", "--p", "2"], 0, {"chi_r", "p"}),
+    (["b", "{k53}", "--p", "2"], 0, {"b", "p", "coloring"}),
+    (["m", "{k4}", "--k", "1"], 0, {"m", "k", "parts", "remainder"}),
+    (["bounds", "{k4}", "--k", "1"], 0, {"k", "bounds"}),
+    (["tset", "{cyclic}", "--p", "1", "--k", "1", "--t", "3"], 0, {"found", "tset"}),
+    (["tset", "{cyclic}", "--p", "1", "--k", "2", "--t", "3"], 2, {"found", "p", "k", "t"}),
+    (["pack", "--n", "7", "--r", "3", "--p", "2", "--k", "1", "--m", "3"], 0,
+     {"m", "blocks", "count"}),
+    (["verify", "multipartite"], 0, _VERIFY_KEYS),
+])
+def test_json_payload_keys(tmp_path, capsys, argv, code, keys):
+    files = {"dir": tmp_path, "k4": tmp_path / "k4.hg", "k43": tmp_path / "k43.hg",
+             "k53": tmp_path / "k53.hg", "cyclic": tmp_path / "cyclic.or"}
+    write_path(complete(4, 2), files["k4"])
+    write_path(complete(4, 3), files["k43"])
+    write_path(complete(5, 3), files["k53"])
+    write_path(Orientation(complete(3, 2), ((0, 1), (2, 0), (1, 2))), files["cyclic"])
+    payload = _json_of(capsys, [arg.format(**files) for arg in argv], code)
+    assert set(payload) == keys
+    if argv[0] == "b":
+        assert set(payload["coloring"]) == {"p", "colors", "colored"}
+    elif argv[0] == "bounds":
+        assert all(set(row) == {"name", "side", "value", "applicable", "inputs", "note"}
+                   for row in payload["bounds"])
+    elif argv[0] == "verify":
+        assert all(set(check) == {"instance", "relation", "values", "ok"}
+                   for check in payload["checks"])
+
+
+def test_json_verify_all_lists_the_suites(capsys, monkeypatch):
+    two = {name: SUITES[name] for name in ("multipartite", "ramsey-chi")}
+    monkeypatch.setattr(hyperf.cli, "SUITES", two)
+    payload = _json_of(capsys, ["verify", "all"])
+    assert set(payload) == {"suites"}
+    assert [rep["suite"] for rep in payload["suites"]] == ["multipartite", "ramsey-chi"]
+    assert all(set(rep) == _VERIFY_KEYS for rep in payload["suites"])
+
+
+def test_json_encodings(tmp_path, capsys):
+    # a Fraction is "a/b", an orientation {n, r, orders}, and a p-set
+    # colouring its sorted [p-set, colour] pairs
+    k5, k43, k53 = tmp_path / "k5.hg", tmp_path / "k43.hg", tmp_path / "k53.hg"
+    write_path(complete(5, 2), k5)
+    write_path(complete(4, 3), k43)
+    write_path(complete(5, 3), k53)
+    assert _json_of(capsys, ["mad", str(k5)])["mad"] == "4/1"
+    rows = {row["name"]: row for row in _json_of(capsys, ["bounds", str(k5), "--k", "1"])["bounds"]}
+    assert rows["average-degree"]["value"] == "3/1"
+    assert rows["average-degree"]["inputs"] == {"avg_degree": "4/1"}
+    brute = _json_of(capsys, ["f", str(k43), "--p", "2", "--method", "brute"])
+    orders = [list(o) for o in f_bruteforce(complete(4, 3), 2, 1).orientation.orders]
+    assert brute["orientation"] == {"n": 4, "r": 3, "orders": orders}
+    colored = [[list(a), c] for a, c in sorted(b_value(complete(5, 3), 2).coloring.colored.items())]
+    coloring = _json_of(capsys, ["b", str(k53), "--p", "2"])["coloring"]
+    assert coloring == {"p": 2, "colors": 3, "colored": colored}
+    via_b = _json_of(capsys, ["f", str(k53), "--p", "2", "--method", "via-b"])
+    assert via_b["witness_coloring"] == colored
+
+
 def test_gen_missing_params_exit_one(capsys):
     assert main(["gen", "complete", "--n", "3"]) == 1
 
@@ -313,9 +406,9 @@ def test_verify_failure_exit_four(capsys, monkeypatch):
 def test_verify_json_roundtrip(capsys):
     assert main(["verify", "multipartite", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    report = VerifySuiteReport.from_dict(payload)
-    assert report.failed == 0
-    assert report.suite == "multipartite"
+    assert payload["failed"] == sum(not check["ok"] for check in payload["checks"]) == 0
+    assert payload["passed"] == len(payload["checks"])
+    assert payload["suite"] == "multipartite"
 
 
 def test_module_entry_point(tmp_path):

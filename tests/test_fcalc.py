@@ -2,6 +2,7 @@
 bounds, thresholds, t-sets, and packings."""
 
 import itertools
+import json
 import random
 from math import comb, isqrt
 
@@ -12,7 +13,6 @@ from hyperf import (
     BadPSet,
     BudgetExceeded,
     Hypergraph,
-    FReport,
     Orientation,
     ThresholdUnknown,
     ascending_orientation,
@@ -36,6 +36,7 @@ from hyperf import (
     random_hypergraph,
     random_orientation,
     tset_threshold_q,
+    to_json,
 )
 
 
@@ -176,7 +177,7 @@ def test_f_threshold_small_cases():
     assert res.found is None
     assert res.scanned == ((3, 0), (4, 0), (5, 0))
     assert res.method == "via-b"
-    payload = res.to_dict()
+    payload = json.loads(to_json(res))
     assert payload["found"] is None and payload["method"] == "via-b"
 
 
@@ -290,11 +291,3 @@ def test_packing_bound_threshold_lookup():
     assert res.count == 7
     with pytest.raises(ThresholdUnknown):
         packing_bound(6, 4, 2, 3)
-
-
-def test_freport_json_roundtrip():
-    rep = f_via_m(complete(6, 2), 1)
-    back = FReport.from_dict(rep.to_dict())
-    assert back == rep
-    rep = f_bruteforce(complete(4, 3), 1, 1)
-    assert FReport.from_dict(rep.to_dict()) == rep

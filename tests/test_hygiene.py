@@ -1,7 +1,8 @@
 """Source hygiene: every top-level import of a library module is used there,
 no function imports anything, every private top-level function or class,
-and every private method, is referenced somewhere, and every search
-defaults to the one node budget."""
+and every private method, is referenced somewhere, every search
+defaults to the one node budget, and every JSON document comes from one
+encoder."""
 
 import ast
 import importlib
@@ -114,3 +115,25 @@ def test_one_default_budget():
                     and budget.default != DEFAULT_NODE_BUDGET:
                 stray.append(f"{path.name}:{attr}")
     assert stray == []
+
+
+def test_one_json_encoder():
+    # reports leave through hypercore.to_json: no hand-written serializer
+    # or reader, and no other module encodes JSON
+    trees = _parsed_sources()
+    serializers = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and ("to_dict" in node.name or "from_dict" in node.name)
+    ]
+    json_users = sorted(
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "json" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+    )
+    assert serializers == []
+    assert json_users == ["hypercore.py"]

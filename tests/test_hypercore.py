@@ -1,6 +1,9 @@
 """Data-model tests: validation, position indexing, generators, file I/O."""
 
+import inspect
+import json
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -8,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperf.extremal
+import hyperf.fcalc
+import hyperf.ramsey
+import hyperf.verify
 from hyperf import (
+    SUITES,
     BadParams,
     DuplicateEdge,
     Hypergraph,
@@ -19,25 +27,45 @@ from hyperf import (
     RepeatedVertexInEdge,
     VertexOutOfRange,
     ascending_orientation,
+    alpha,
+    alpha2,
+    b_value,
+    beta,
+    bounds,
     canonicalize,
+    chi_r,
+    chromatic_exact,
     complement,
     complete,
     complete_multipartite,
     degeneracy,
     degree_vector,
     degree_vectors,
+    f_bruteforce,
+    f_p1_exact,
+    f_threshold,
+    f_via_m,
+    find_tset,
     from_text,
     generate,
+    greedy_packing,
+    hit_triangles,
     join_k2,
+    m_value,
     max_coordinate,
     mop_fan,
     mop_random,
+    packing_bound,
     random_hypergraph,
     random_orientation,
     read_path,
+    run_all,
+    to_json,
     to_text,
+    verify_suite,
     write_path,
 )
+from hyperf.hypercore import DEFAULT_NODE_BUDGET
 
 
 def test_canonicalize_sorts_edges_and_vertices():
@@ -240,3 +268,61 @@ def test_rank_corpus_matches_combinations():
         idx = PositionIndex(r, p)
         i = rng.randrange(idx.count)
         assert idx.rank(idx.unrank(i)) == i
+
+
+def test_to_json_rules():
+    rep = {"ratio": Fraction(3, 2), "pairs": ((1, 2),), "none": None,
+           "coloring": {(1, 2): 0, (0, 1): 1}, "empty": {},
+           "orientation": Orientation(complete(3, 2), ((1, 0), (0, 2), (2, 1))),
+           "graph": complete(3, 2)}
+    assert json.loads(to_json(rep)) == {
+        "ratio": "3/2", "pairs": [[1, 2]], "none": None,
+        "coloring": [[[0, 1], 1], [[1, 2], 0]], "empty": {},
+        "orientation": {"n": 3, "r": 2, "orders": [[1, 0], [0, 2], [2, 1]]},
+        "graph": {"n": 3, "r": 2, "edges": [[0, 1], [0, 2], [1, 2]]},
+    }
+    assert to_json({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}'
+
+
+# one cheap call per public search that takes a node budget
+_NODE_BUDGETED = {
+    "extremal.chromatic_exact": lambda b: chromatic_exact(complete(5, 2), b),
+    "extremal.alpha": lambda b: alpha(complete(4, 2), b),
+    "extremal.beta": lambda b: beta(complete(4, 2), 1, b),
+    "extremal.alpha2": lambda b: alpha2(complete(4, 2), b),
+    "extremal.hit_triangles": lambda b: hit_triangles(complete(4, 2), b),
+    "extremal.m_value": lambda b: m_value(complete(4, 2), 1, b),
+    "fcalc.f_bruteforce": lambda b: f_bruteforce(complete(4, 3), 1, 0, b),
+    "fcalc.f_via_m": lambda b: f_via_m(complete(4, 2), 1, b),
+    "fcalc.bounds": lambda b: bounds(complete(4, 2), 1, b),
+    "fcalc.find_tset": lambda b: find_tset(ascending_orientation(complete(4, 3)), 1, 0, 2, b),
+    "fcalc.greedy_packing": lambda b: greedy_packing(7, 3, 1, b),
+    "fcalc.packing_bound": lambda b: packing_bound(7, 3, 2, 1, m=3, budget=b),
+    "ramsey.chi_r": lambda b: chi_r(complete(5, 3), 2, b),
+    "ramsey.b_value": lambda b: b_value(complete(5, 3), 2, b),
+    "ramsey.f_threshold": lambda b: f_threshold(3, 2, 1, 5, b),
+    "ramsey.f_p1_exact": lambda b: f_p1_exact(complete(4, 3), 2, b),
+    "verify.verify_suite": lambda b: verify_suite("multipartite", budget=b),
+    "verify.run_all": lambda b: run_all(budget=b),
+    **{f"verify.{suite.__name__}": (lambda b, suite=suite: suite(budget=b))
+       for suite in SUITES.values()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NODE_BUDGETED))
+def test_negative_budget_is_bad_params(name):
+    with pytest.raises(BadParams, match="budget must be >= 0, got -5"):
+        _NODE_BUDGETED[name](-5)
+
+
+def test_every_node_budgeted_search_is_listed():
+    found = {
+        f"{module.__name__.split('.')[1]}.{attr}"
+        for module in (hyperf.extremal, hyperf.fcalc, hyperf.ramsey, hyperf.verify)
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and getattr(inspect.signature(obj).parameters.get("budget"), "default", None)
+        == DEFAULT_NODE_BUDGET
+    }
+    assert found == set(_NODE_BUDGETED)

@@ -35,11 +35,6 @@ def test_pset_coloring_validation():
         PSetColoring(1, 2, {(0,): 2})
 
 
-def test_pset_coloring_json_roundtrip():
-    coloring = PSetColoring(2, 3, {(0, 1): 2, (1, 2): 0})
-    assert PSetColoring.from_dict(coloring.to_dict()) == coloring
-
-
 def test_check_mono_triangle():
     h = complete(3, 2)
     allsame = PSetColoring(1, 2, {(0,): 0, (1,): 0, (2,): 0})
