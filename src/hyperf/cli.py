@@ -308,7 +308,7 @@ def _cmd_orient(args, budget) -> int:
                   f"edges but have total capacity {result.capacity}")
         return EXIT_NEGATIVE
     if args.json:
-        print(to_json({"feasible": True, "orders": result.orders}))
+        print(to_json({"feasible": True, "n": h.n, "r": h.r, "orders": result.orders}))
         if args.output:
             write_path(result, args.output)
     elif args.output:

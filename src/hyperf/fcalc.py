@@ -65,10 +65,10 @@ def f_count(d: Orientation, p: int, k: int) -> int:
     """Number of p-sets whose coordinates are all >= k under d."""
     if k < 0:
         raise BadParams(f"k must be >= 0, got {k}")
-    touched = _touched_vectors(d, p)
+    _check_p(p, d.base.r)
     if k == 0:
         return math.comb(d.base.n, p)
-    return sum(1 for coords in touched.values() if min(coords) >= k)
+    return sum(1 for coords in _touched_vectors(d, p).values() if min(coords) >= k)
 
 
 def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport:

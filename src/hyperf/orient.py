@@ -12,7 +12,6 @@ the obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .hypercore import (
@@ -21,7 +20,6 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     Orientation,
-    PositionIndex,
     degree_vectors,
 )
 
@@ -149,10 +147,11 @@ def orient_from_partition(
     Needs each part sparse enough to orient internally with position-0
     degrees <= k-1 (equivalently Mad of the induced part <= r(k-1)).  Edges
     inside part i get that internal orientation rotated so the bounded
-    position is i; edges inside the remainder are ascending; every other
-    edge takes its lexicographically first ordering in which no vertex of
-    part i stands at position i (the lowest-index rule of
-    orient_forbidden).  The result has deg_i(v) <= k-1 for all v in part i.
+    position is i; every other edge takes its lexicographically first
+    ordering in which no vertex of part i stands at position i (the
+    lowest-index rule of orient_forbidden), which is ascending for an edge
+    inside the remainder.  The result has deg_i(v) <= k-1 for all v in
+    part i.
     """
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
@@ -172,7 +171,6 @@ def orient_from_partition(
     if remainder is not None and sorted(set(remainder)) != rest:
         raise BadParams("remainder must be exactly the vertices outside the parts")
     part_of = {v: i for i, part in enumerate(psets) for v in part}
-    rest_set = set(rest)
 
     orders: list[tuple[int, ...] | None] = [None] * h.e
     # parts are disjoint, so one owner list and one caps list serve them all
@@ -194,12 +192,8 @@ def orient_from_partition(
                 rotated[(j + i) % h.r] = v
             orders[ei] = tuple(rotated)
     for ei, edge in enumerate(h.edges):
-        if orders[ei] is not None:
-            continue
-        if rest_set.issuperset(edge):
-            orders[ei] = edge
-        else:
-            orders[ei] = _crossing_order(edge, part_of)
+        if orders[ei] is None:
+            orders[ei] = _lowest_order(edge, part_of)
 
     load = [0] * h.n
     for order in orders:
@@ -210,22 +204,26 @@ def orient_from_partition(
     return Orientation(h, tuple(orders))
 
 
-def _crossing_order(edge, part_of) -> tuple[int, ...]:
-    """Lexicographically first ordering of an edge lying inside no part in
-    which no vertex of part j stands at position j.
+def _lowest_order(edge, bar) -> tuple[int, ...] | None:
+    """Lexicographically first ordering of an edge in which no vertex v
+    stands at position bar[v] (a vertex missing from bar stands anywhere),
+    or None when there is none.
 
     Each vertex bars at most one position, so the unused vertices fit the
     unfilled positions unless all of them are barred from one same later
     position; position j takes the lowest allowed vertex that avoids that.
+    Only an edge whose vertices all bar one position has no ordering.
     """
     left = list(edge)
     order = []
     for j in range(len(edge)):
         for v in left:
-            barred = {part_of.get(u, -1) for u in left if u != v}
+            barred = {bar.get(u, -1) for u in left if u != v}
             stalls = len(barred) == 1 and max(barred) > j
-            if part_of.get(v) != j and not stalls:
+            if bar.get(v) != j and not stalls:
                 break
+        else:
+            return None
         order.append(v)
         left.remove(v)
     return tuple(order)
@@ -235,8 +233,10 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
     """Orientation avoiding, for every colored p-set, its color coordinate.
 
     A p-set colored c must never occupy the rank-c position subset.  Each
-    edge takes the first of its orderings (ascending-lexicographic scan)
-    with no forbidden placement, and StuckEdge names any edge with none.
+    edge takes its lexicographically first ordering with no forbidden
+    placement, and StuckEdge names the first edge with none.  So each
+    vertex is barred from at most one position: v from its color at
+    p = 1, and from r-1-c at p = r-1 if the rest of the edge is colored c.
     Only p = 1 and p = r-1 are accepted.  They guarantee an ordering of
     every edge only for colorings in which no fully colored edge is
     p-monochromatic, such as b_value's; any other coloring may raise
@@ -245,20 +245,22 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
     if p not in (1, h.r - 1):
         raise BadPSet(f"forbidden-coordinate orientations need p in {{1, r-1}}, got {p}")
     colored: Mapping = getattr(coloring, "colored", coloring)
-    pidx = PositionIndex(h.r, p)
     for pset, c in colored.items():
         if len(pset) != p:
             raise BadPSet(f"{pset} is not a {p}-set")
-        if not (0 <= c < pidx.count):
-            raise BadParams(f"color {c} of {pset} outside 0..{pidx.count - 1}")
+        if not (0 <= c < h.r):
+            raise BadParams(f"color {c} of {pset} outside 0..{h.r - 1}")
     orders = []
     for edge in h.edges:
-        for cand in permutations(edge):
-            if all(colored.get(a) != rank for rank, a in enumerate(pidx.placements(cand))):
-                orders.append(cand)
-                break
+        if p == 1:
+            bar = {v: colored[(v,)] for v in edge if (v,) in colored}
         else:
+            rest = {v: tuple(u for u in edge if u != v) for v in edge}
+            bar = {v: h.r - 1 - colored[a] for v, a in rest.items() if a in colored}
+        order = _lowest_order(edge, bar)
+        if order is None:
             raise StuckEdge(edge)
+        orders.append(order)
     return Orientation(h, tuple(orders))
 
 

@@ -3,9 +3,10 @@
 Every suite pits two independent routes to the same quantity (or a proved
 inequality between quantities) against each other on small seeded instances
 and records each comparison with exact integer arithmetic.  A suite passes
-iff every check passes.  Suites are deterministic given a seed; ``SUITES``
-maps the public names to the suite functions and ``verify_suite`` dispatches
-by name.
+iff every check passes.  Suites are deterministic given a seed.  A suite
+is a generator of CheckResults registered with ``_suite``, which adds the
+budget check, the timer and the report; ``SUITES`` maps the public names
+to the registered functions and ``verify_suite`` dispatches by name.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .hypercore import (
     complete_multipartite,
     degree_vectors,
     join_k2,
+    max_coordinate,
     mop_fan,
     mop_random,
     random_hypergraph,
@@ -75,13 +77,31 @@ class VerifySuiteReport:
         self.failed = len(self.checks) - self.passed
 
 
-def _finish(name, seed, checks, t0) -> VerifySuiteReport:
-    return VerifySuiteReport(
-        suite=name,
-        seed=seed,
-        checks=checks,
-        seconds=round(time.perf_counter() - t0, 3),
-    )
+SUITES: dict = {}
+
+
+def _suite(name):
+    """Register a generator of CheckResults, called with (seed, budget), as
+    the suite `name`.  The registered function keeps the generator's name
+    and docstring; called as (seed=1, budget=DEFAULT_NODE_BUDGET), it
+    rejects a bad budget before any work, times the run and returns the
+    VerifySuiteReport.  SUITES lists the suites in definition order.
+    """
+
+    def register(checks):
+        def run(seed=1, budget=DEFAULT_NODE_BUDGET) -> VerifySuiteReport:
+            _check_budget(budget)
+            t0 = time.perf_counter()
+            done = list(checks(seed, budget))
+            seconds = round(time.perf_counter() - t0, 3)
+            return VerifySuiteReport(suite=name, seed=seed, checks=done, seconds=seconds)
+
+        run.__name__ = run.__qualname__ = checks.__name__
+        run.__doc__ = checks.__doc__
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def random_corpus(count, seed, ranks=(2, 3, 4), n_max=10, e_max=12):
@@ -96,20 +116,11 @@ def random_corpus(count, seed, ranks=(2, 3, 4), n_max=10, e_max=12):
     return out
 
 
-def _first_position_degrees(d):
-    vec = [0] * d.base.n
-    for order in d.orders:
-        vec[order[0]] += 1
-    return vec
-
-
-def suite_hakimi(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("hakimi")
+def suite_hakimi(seed, budget):
     """Orientability with first-position degree <= k at every vertex is
     equivalent to Mad(H) <= r*k; the feasible orientations really attain
     the bound and the flow route agrees with subset enumeration."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
-    checks = []
     for idx, h in enumerate(random_corpus(200, seed)):
         mad = mad_bruteforce(h)
         bad = []
@@ -118,169 +129,133 @@ def suite_hakimi(seed=1, budget=DEFAULT_NODE_BUDGET):
             feasible = not isinstance(result, Infeasible)
             if feasible != (mad <= h.r * k):
                 bad.append(f"k={k} feasibility mismatch")
-            if feasible and max(_first_position_degrees(result)) > k:
+            if feasible and max_coordinate(result, 0) > k:
                 bad.append(f"k={k} bound not attained")
-        checks.append(
-            CheckResult(
-                instance=f"random #{idx} n={h.n} r={h.r} e={h.e}",
-                relation="orientable(first-position degree <= k) <=> Mad <= r*k",
-                values={"mad": str(mad), "mismatches": bad},
-                ok=not bad,
-            )
+        yield CheckResult(
+            instance=f"random #{idx} n={h.n} r={h.r} e={h.e}",
+            relation="orientable(first-position degree <= k) <=> Mad <= r*k",
+            values={"mad": mad, "mismatches": bad},
+            ok=not bad,
         )
-    return _finish("hakimi", seed, checks, t0)
 
 
-def suite_via_m(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("via-m")
+def suite_via_m(seed, budget):
     """f(H,1,k) computed by full orientation scan equals n - M(H,k-1), and
     the partition-built certificate orientation attains the value."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
-    checks = []
     for idx, h in enumerate(random_corpus(100, seed, ranks=(2, 3), n_max=6, e_max=6)):
         for k in (1, 2):
             brute = f_bruteforce(h, 1, k, budget)
             via = f_via_m(h, k, budget)
             attained = f_count(via.orientation, 1, k)
-            checks.append(
-                CheckResult(
-                    instance=f"random #{idx} n={h.n} r={h.r} e={h.e} k={k}",
-                    relation="f(H,1,k) == n - M(H,k-1) == value of certificate",
-                    values={"brute": brute.value, "via_m": via.value,
-                            "certificate": attained},
-                    ok=brute.value == via.value == attained,
-                )
+            yield CheckResult(
+                instance=f"random #{idx} n={h.n} r={h.r} e={h.e} k={k}",
+                relation="f(H,1,k) == n - M(H,k-1) == value of certificate",
+                values={"brute": brute.value, "via_m": via.value,
+                        "certificate": attained},
+                ok=brute.value == via.value == attained,
             )
-    return _finish("via-m", seed, checks, t0)
 
 
-def suite_closed_form(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("closed-form")
+def suite_closed_form(seed, budget):
     """Complete hypergraphs: the partition route matches the closed form
     max(n - r*t, 0), and the full orientation scan confirms it at the
     smallest sizes."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
-    checks = []
     for r in (2, 3):
         for n in range(r, 13):
             for k in (1, 2):
                 via = f_via_m(complete(n, r), k, budget).value
                 closed = closed_form_complete(n, r, k)
-                checks.append(
-                    CheckResult(
-                        instance=f"complete n={n} r={r} k={k}",
-                        relation="f via M == max(n - r*t, 0)",
-                        values={"via_m": via, "closed": closed},
-                        ok=via == closed,
-                    )
+                yield CheckResult(
+                    instance=f"complete n={n} r={r} k={k}",
+                    relation="f via M == max(n - r*t, 0)",
+                    values={"via_m": via, "closed": closed},
+                    ok=via == closed,
                 )
     for n in range(2, 7):
         brute = f_bruteforce(complete(n, 2), 1, 1, budget).value
-        checks.append(
-            CheckResult(
-                instance=f"complete n={n} r=2 k=1",
-                relation="orientation scan == n - 2",
-                values={"brute": brute, "expected": n - 2},
-                ok=brute == n - 2,
-            )
+        yield CheckResult(
+            instance=f"complete n={n} r=2 k=1",
+            relation="orientation scan == n - 2",
+            values={"brute": brute, "expected": n - 2},
+            ok=brute == n - 2,
         )
     for n in (4, 5):
         brute = f_bruteforce(complete(n, 3), 1, 1, budget).value
-        checks.append(
-            CheckResult(
-                instance=f"complete n={n} r=3 k=1",
-                relation="orientation scan == 0",
-                values={"brute": brute, "expected": 0},
-                ok=brute == 0,
-            )
+        yield CheckResult(
+            instance=f"complete n={n} r=3 k=1",
+            relation="orientation scan == 0",
+            values={"brute": brute, "expected": 0},
+            ok=brute == 0,
         )
-    return _finish("closed-form", seed, checks, t0)
 
 
-def suite_ramsey_chi(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("ramsey-chi")
+def suite_ramsey_chi(seed, budget):
     """Ramsey pair-chromatic numbers of small complete 3-uniform
     hypergraphs: 2 up to five vertices, 3 at six."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
-    checks = []
     for n, expected in ((3, 2), (4, 2), (5, 2), (6, 3)):
         got = chi_r(complete(n, 3), 2, budget)
-        checks.append(
-            CheckResult(
-                instance=f"complete n={n} r=3 p=2",
-                relation=f"chi_R == {expected}",
-                values={"chi_r": got, "expected": expected},
-                ok=got == expected,
-            )
+        yield CheckResult(
+            instance=f"complete n={n} r=3 p=2",
+            relation=f"chi_R == {expected}",
+            values={"chi_r": got, "expected": expected},
+            ok=got == expected,
         )
-    return _finish("ramsey-chi", seed, checks, t0)
 
 
-def suite_via_b(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("via-b")
+def suite_via_b(seed, budget):
     """k=1 exact identity f(H,p,1) == C(n,p) - b(H,p) for p in {1, r-1},
     with the forbidden-coordinate certificate attaining the value."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
-    checks = []
     for idx, h in enumerate(random_corpus(50, seed, ranks=(3,), n_max=6, e_max=6)):
         for p in (1, 2):
             brute = f_bruteforce(h, p, 1, budget)
             rep = f_p1_exact(h, p, budget)
             attained = f_count(rep.orientation, p, 1)
-            checks.append(
-                CheckResult(
-                    instance=f"random #{idx} n={h.n} e={h.e} p={p}",
-                    relation="f(H,p,1) == C(n,p) - b(H,p) == value of certificate",
-                    values={"brute": brute.value, "via_b": rep.value,
-                            "certificate": attained},
-                    ok=brute.value == rep.value == attained,
-                )
+            yield CheckResult(
+                instance=f"random #{idx} n={h.n} e={h.e} p={p}",
+                relation="f(H,p,1) == C(n,p) - b(H,p) == value of certificate",
+                values={"brute": brute.value, "via_b": rep.value,
+                        "certificate": attained},
+                ok=brute.value == rep.value == attained,
             )
-    return _finish("via-b", seed, checks, t0)
 
 
-def suite_multipartite(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("multipartite")
+def suite_multipartite(seed, budget):
     """Complete multipartite closed form: sum of the class sizes beyond the
     two largest, minus 2k - 2, matched by the partition route."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
-    checks = []
     for sizes in ((7, 7, 3), (3, 3, 2), (4, 4, 2, 2)):
         k = 2
         formula = closed_form_multipartite(sizes, k)
         via = f_via_m(complete_multipartite(sizes), k, budget).value
-        checks.append(
-            CheckResult(
-                instance=f"multipartite {sizes} k={k}",
-                relation="f via M == sum(sizes[2:]) - 2k + 2",
-                values={"applicable": formula.applicable,
-                        "formula": formula.value, "via_m": via},
-                ok=formula.applicable and via == formula.value,
-            )
+        yield CheckResult(
+            instance=f"multipartite {sizes} k={k}",
+            relation="f via M == sum(sizes[2:]) - 2k + 2",
+            values={"applicable": formula.applicable,
+                    "formula": formula.value, "via_m": via},
+            ok=formula.applicable and via == formula.value,
         )
-    return _finish("multipartite", seed, checks, t0)
 
 
-def suite_perfect_graph(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("perfect-graph")
+def suite_perfect_graph(seed, budget):
     """On complete multipartite and bipartite graphs, f(G,1) equals the
     minimum number of vertices meeting every triangle, found by a subset
     scan."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
     rng = random.Random(seed)
-    checks = []
     for n in range(1, 9):
         for parts in _partitions(n):
             g = complete_multipartite(parts)
             fv = f_via_m(g, 1, budget).value
             hv = _triangle_hitting_by_scan(g)
-            checks.append(
-                CheckResult(
-                    instance=f"multipartite {parts}",
-                    relation="f(G,1) == min triangle transversal",
-                    values={"f": fv, "hit": hv},
-                    ok=fv == hv,
-                )
+            yield CheckResult(
+                instance=f"multipartite {parts}",
+                relation="f(G,1) == min triangle transversal",
+                values={"f": fv, "hit": hv},
+                ok=fv == hv,
             )
     for idx in range(30):
         a = rng.randint(1, 4)
@@ -289,25 +264,20 @@ def suite_perfect_graph(seed=1, budget=DEFAULT_NODE_BUDGET):
         g = _random_bipartite(a, b, m, rng.randrange(1 << 30))
         fv = f_via_m(g, 1, budget).value
         hv = _triangle_hitting_by_scan(g)
-        checks.append(
-            CheckResult(
-                instance=f"bipartite #{idx} sides={a},{b} e={g.e}",
-                relation="f(G,1) == min triangle transversal (both 0)",
-                values={"f": fv, "hit": hv},
-                ok=fv == hv == 0,
-            )
+        yield CheckResult(
+            instance=f"bipartite #{idx} sides={a},{b} e={g.e}",
+            relation="f(G,1) == min triangle transversal (both 0)",
+            values={"f": fv, "hit": hv},
+            ok=fv == hv == 0,
         )
-    return _finish("perfect-graph", seed, checks, t0)
 
 
-def suite_complement(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("complement")
+def suite_complement(seed, budget):
     """f(G,1) + f(complement(G),1) >= n - 4 for every graph on up to six
     vertices, with equality on disjoint unions of two cliques; the clique
     union / complete bipartite pair meets both closed-form bounds at k=1."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
     rng = random.Random(seed)
-    checks = []
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
         total = 1 << len(pairs)
@@ -316,13 +286,11 @@ def suite_complement(seed=1, budget=DEFAULT_NODE_BUDGET):
         violations = sum(
             1 for mask in range(total) if two_part[mask] + two_part[full ^ mask] > n + 4
         )
-        checks.append(
-            CheckResult(
-                instance=f"all graphs n={n}",
-                relation="f(G,1) + f(comp G,1) >= n - 4 (exhaustive)",
-                values={"graphs": total, "violations": violations},
-                ok=violations == 0,
-            )
+        yield CheckResult(
+            instance=f"all graphs n={n}",
+            relation="f(G,1) + f(comp G,1) >= n - 4 (exhaustive)",
+            values={"graphs": total, "violations": violations},
+            ok=violations == 0,
         )
         if n == 6:
             sample_bad = 0
@@ -330,13 +298,11 @@ def suite_complement(seed=1, budget=DEFAULT_NODE_BUDGET):
                 g = _graph_of_mask(n, pairs, mask)
                 if f_via_m(g, 1, budget).value != n - two_part[mask]:
                     sample_bad += 1
-            checks.append(
-                CheckResult(
-                    instance="sample of 100 graphs n=6",
-                    relation="f via M == n - (largest union of two independent sets)",
-                    values={"mismatches": sample_bad},
-                    ok=sample_bad == 0,
-                )
+            yield CheckResult(
+                instance="sample of 100 graphs n=6",
+                relation="f via M == n - (largest union of two independent sets)",
+                values={"mismatches": sample_bad},
+                ok=sample_bad == 0,
             )
     for a in range(2, 9):
         for b in range(a, 11 - a):
@@ -344,59 +310,46 @@ def suite_complement(seed=1, budget=DEFAULT_NODE_BUDGET):
             bipart = complete_multipartite((a, b))
             cliques = complement(bipart)
             total_f = f_via_m(cliques, 1, budget).value + f_via_m(bipart, 1, budget).value
-            checks.append(
-                CheckResult(
-                    instance=f"cliques {a}+{b} vs complete bipartite",
-                    relation="sum == n - 16k + 12 == n - 8k + 4 at k=1",
-                    values={"sum": total_f, "expected": n - 4},
-                    ok=total_f == n - 4,
-                )
+            yield CheckResult(
+                instance=f"cliques {a}+{b} vs complete bipartite",
+                relation="sum == n - 16k + 12 == n - 8k + 4 at k=1",
+                values={"sum": total_f, "expected": n - 4},
+                ok=total_f == n - 4,
             )
-    return _finish("complement", seed, checks, t0)
 
 
-def suite_mop(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("mop")
+def suite_mop(seed, budget):
     """Maximal outerplanar graphs: 1 <= f(G,1) <= n/3, and the fan
     triangulation attains the lower end."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
     rng = random.Random(seed)
-    checks = []
     for idx in range(50):
         n = rng.randint(3, 12)
         g = mop_random(n, seed=rng.randrange(1 << 30))
         fv = f_via_m(g, 1, budget).value
-        checks.append(
-            CheckResult(
-                instance=f"random mop #{idx} n={n}",
-                relation="1 <= f(G,1) and 3*f(G,1) <= n",
-                values={"f": fv},
-                ok=1 <= fv and 3 * fv <= n,
-            )
+        yield CheckResult(
+            instance=f"random mop #{idx} n={n}",
+            relation="1 <= f(G,1) and 3*f(G,1) <= n",
+            values={"f": fv},
+            ok=1 <= fv and 3 * fv <= n,
         )
     for n in (3, 6, 9, 12):
         fv = f_via_m(mop_fan(n), 1, budget).value
-        checks.append(
-            CheckResult(
-                instance=f"fan mop n={n}",
-                relation="f(G,1) == 1",
-                values={"f": fv},
-                ok=fv == 1,
-            )
+        yield CheckResult(
+            instance=f"fan mop n={n}",
+            relation="f(G,1) == 1",
+            values={"f": fv},
+            ok=fv == 1,
         )
-    return _finish("mop", seed, checks, t0)
 
 
-def suite_accounting(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("accounting")
+def suite_accounting(seed, budget):
     """Bookkeeping identities on random orientations: per-position degree
     sums equal the edge count, degree-vector coordinates of a p-set sum to
     its plain degree, and the qualifying-count is monotone in k."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
     rng = random.Random(seed)
-    checks = []
     block_bad = []
-    done = 0
     for idx in range(500):
         r = rng.choice((2, 3, 4))
         n = rng.randint(r, 8)
@@ -422,28 +375,22 @@ def suite_accounting(seed=1, budget=DEFAULT_NODE_BUDGET):
                 problems.append(f"p={p} count not monotone in k")
         if problems:
             block_bad.append((idx, problems))
-        done += 1
-        if done % 100 == 0:
-            checks.append(
-                CheckResult(
-                    instance=f"orientations {done - 99}..{done}",
-                    relation="position sums, coordinate sums, monotonicity",
-                    values={"failures": block_bad},
-                    ok=not block_bad,
-                )
+        if idx % 100 == 99:
+            yield CheckResult(
+                instance=f"orientations {idx - 98}..{idx + 1}",
+                relation="position sums, coordinate sums, monotonicity",
+                values={"failures": block_bad},
+                ok=not block_bad,
             )
             block_bad = []
-    return _finish("accounting", seed, checks, t0)
 
 
-def suite_join_reduction(seed=1, budget=DEFAULT_NODE_BUDGET):
+@_suite("join-reduction")
+def suite_join_reduction(seed, budget):
     """Two copies of a graph with all cross edges: the largest two-part
     sparse cover of the join doubles the independence number, threshold by
     threshold."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
     rng = random.Random(seed)
-    checks = []
     for idx in range(30):
         n = rng.randint(3, 8)
         m = rng.randint(0, min(14, comb(n, 2)))
@@ -454,15 +401,12 @@ def suite_join_reduction(seed=1, budget=DEFAULT_NODE_BUDGET):
         mismatch = [
             t for t in range(2 * n + 2) if (a >= t) != (mv >= 2 * t)
         ]
-        checks.append(
-            CheckResult(
-                instance=f"random graph #{idx} n={n} e={g.e}",
-                relation="alpha(G) >= t <=> M(join, 0) >= 2t",
-                values={"alpha": a, "m_join": mv, "bad_t": mismatch},
-                ok=not mismatch,
-            )
+        yield CheckResult(
+            instance=f"random graph #{idx} n={n} e={g.e}",
+            relation="alpha(G) >= t <=> M(join, 0) >= 2t",
+            values={"alpha": a, "m_join": mv, "bad_t": mismatch},
+            ok=not mismatch,
         )
-    return _finish("join-reduction", seed, checks, t0)
 
 
 def _partitions(n, max_part=None):
@@ -546,20 +490,6 @@ def _random_bipartite(a, b, m, seed) -> Hypergraph:
     return canonicalize(chosen, a + b, 2)
 
 
-SUITES = {
-    "hakimi": suite_hakimi,
-    "via-m": suite_via_m,
-    "closed-form": suite_closed_form,
-    "ramsey-chi": suite_ramsey_chi,
-    "via-b": suite_via_b,
-    "multipartite": suite_multipartite,
-    "perfect-graph": suite_perfect_graph,
-    "complement": suite_complement,
-    "mop": suite_mop,
-    "accounting": suite_accounting,
-    "join-reduction": suite_join_reduction,
-}
-
 
 def verify_suite(name, seed=1, budget=DEFAULT_NODE_BUDGET) -> VerifySuiteReport:
     """Run one registered suite; raises UnknownSuite for unregistered names."""
@@ -570,5 +500,5 @@ def verify_suite(name, seed=1, budget=DEFAULT_NODE_BUDGET) -> VerifySuiteReport:
 
 
 def run_all(seed=1, budget=DEFAULT_NODE_BUDGET) -> list:
-    """Run every registered suite in name-stable order."""
+    """Run every registered suite in registration order."""
     return [SUITES[name](seed=seed, budget=budget) for name in SUITES]

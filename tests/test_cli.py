@@ -24,7 +24,7 @@ from hyperf import (
 )
 import hyperf.cli
 from hyperf.cli import main
-from hyperf.hypercore import orientation_from_rows
+from hyperf.hypercore import max_coordinate, orientation_from_rows
 from hyperf.verify import SUITES, CheckResult, VerifySuiteReport
 
 
@@ -82,6 +82,16 @@ def test_orient_writes_verifiable_file(tmp_path, capsys):
     for order in oriented.orders:
         firsts[order[0]] += 1
     assert max(firsts) <= 1
+
+
+def test_orient_json_rebuilds_the_orientation(tmp_path, capsys):
+    # the feasible document carries n and r, so orientation_from_rows reads it back
+    src = tmp_path / "h.hg"
+    write_path(complete(5, 3), src)
+    payload = _json_of(capsys, ["orient", str(src), "--max-outdeg", "2"])
+    d = orientation_from_rows(payload["orders"], payload["n"], payload["r"])
+    assert d.base == complete(5, 3)
+    assert max_coordinate(d, 0) <= 2
 
 
 def test_orient_infeasible_exit_two(tmp_path, capsys):
@@ -294,7 +304,7 @@ _VERIFY_KEYS = {"suite", "seed", "passed", "failed", "seconds", "checks"}
      {"written", "n", "r", "e"}),
     (["mad", "{k4}"], 0, {"mad", "witness", "spread"}),
     (["degeneracy", "{k4}"], 0, {"degeneracy", "order"}),
-    (["orient", "{k4}", "--max-outdeg", "2"], 0, {"feasible", "orders"}),
+    (["orient", "{k4}", "--max-outdeg", "2"], 0, {"feasible", "n", "r", "orders"}),
     (["orient", "{k4}", "--max-outdeg", "1"], 2,
      {"feasible", "witness", "edges_inside", "capacity"}),
     (["f", "{k4}"], 0, _FREPORT_KEYS),
@@ -401,6 +411,14 @@ def test_verify_failure_exit_four(capsys, monkeypatch):
     assert main(["verify", "doomed"]) == 4
     out = capsys.readouterr().out
     assert "1 failed" in out and "FAIL x" in out
+
+
+def test_verify_hakimi_json_prints_mad_as_a_fraction(capsys):
+    # Mad leaves through to_json like `hyperf mad --json`: an integral one is "a/1"
+    payload = _json_of(capsys, ["verify", "hakimi"])
+    mads = [check["values"]["mad"] for check in payload["checks"]]
+    assert all("/" in mad for mad in mads)
+    assert any(mad.endswith("/1") and mad != "0/1" for mad in mads)
 
 
 def test_verify_json_roundtrip(capsys):

@@ -38,6 +38,7 @@ from hyperf import (
     tset_threshold_q,
     to_json,
 )
+import hyperf.fcalc
 
 
 def test_f_count_triangle_orientations():
@@ -48,6 +49,12 @@ def test_f_count_triangle_orientations():
     assert f_count(transitive, 1, 1) == 1
     assert f_count(transitive, 1, 0) == 3
     assert f_count(ascending_orientation(complete(4, 3)), 2, 1) == 0
+
+
+def test_f_count_at_k_zero_builds_no_degree_vectors(monkeypatch):
+    # every p-set qualifies at k = 0, so no degree vector is needed
+    monkeypatch.setattr(hyperf.fcalc, "_touched_vectors", None)
+    assert f_count(ascending_orientation(complete(6, 3)), 2, 0) == comb(6, 2)
 
 
 def test_f_bruteforce_small_exact_values():
@@ -78,8 +85,9 @@ def test_f_bruteforce_rejects_p_outside_one_to_r_minus_one():
     for p in (0, 3):
         with pytest.raises(BadPSet):
             f_bruteforce(complete(4, 3), p, 1)
-        with pytest.raises(BadPSet):
-            f_count(ascending_orientation(complete(4, 3)), p, 1)
+        for k in (0, 1):
+            with pytest.raises(BadPSet):
+                f_count(ascending_orientation(complete(4, 3)), p, k)
 
 
 def test_f_via_m_examples_and_certificates():

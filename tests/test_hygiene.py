@@ -1,8 +1,8 @@
 """Source hygiene: every top-level import of a library module is used there,
 no function imports anything, every private top-level function or class,
 and every private method, is referenced somewhere, every search
-defaults to the one node budget, and every JSON document comes from one
-encoder."""
+defaults to the one node budget, every JSON document comes from one
+encoder, and the verify suites share one harness."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import inspect
 from pathlib import Path
 
 from hyperf.hypercore import DEFAULT_NODE_BUDGET
+from hyperf.verify import SUITES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperf"
 
@@ -137,3 +138,29 @@ def test_one_json_encoder():
     )
     assert serializers == []
     assert json_users == ["hypercore.py"]
+
+
+def test_one_verify_harness():
+    # every suite is a generator registered by verify._suite, which alone
+    # checks the budget and reads the clock
+    tree = _parsed_sources()["verify.py"]
+    callers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == "_check_budget"
+             or isinstance(node.func, ast.Attribute) and node.func.attr == "perf_counter")
+    }
+    assert callers == {"_suite"}
+    assert list(SUITES) == [
+        "hakimi", "via-m", "closed-form", "ramsey-chi", "via-b", "multipartite",
+        "perfect-graph", "complement", "mop", "accounting", "join-reduction",
+    ]
+    for name, suite in SUITES.items():
+        # the benchmark's per-suite timings look the suites up by __name__
+        assert suite.__name__ == "suite_" + name.replace("-", "_")
+        params = inspect.signature(suite).parameters
+        assert params["seed"].default == 1
+        assert params["budget"].default == DEFAULT_NODE_BUDGET
