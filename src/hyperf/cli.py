@@ -31,7 +31,7 @@ from .hypercore import (
     write_path,
 )
 from .orient import Infeasible, orient_budget, orient_max_outdeg
-from .extremal import degeneracy, m_value, mad_certificate, mad_exact
+from .extremal import degeneracy, m_value, mad_certificate
 from .fcalc import (
     FReport,
     ThresholdUnknown,
@@ -44,7 +44,7 @@ from .fcalc import (
     packing_bound,
 )
 from .ramsey import b_value, chi_r, f_p1_exact
-from .verify import SUITES, UnknownSuite, verify_suite
+from .verify import SUITES, verify_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -266,12 +266,10 @@ def _require(args, *names):
 
 
 def _cmd_mad(args, budget) -> int:
-    h = _read_hypergraph(args.file)
+    value, witness, spread = mad_certificate(_read_hypergraph(args.file))
     if args.json:
-        value, witness, spread = mad_certificate(h)
         print(to_json({"mad": value, "witness": witness, "spread": spread}))
     else:
-        value, witness = mad_exact(h)
         print(f"{value.numerator}/{value.denominator}")
         if not args.quiet:
             print("witness:", " ".join(str(v) for v in witness))
@@ -499,9 +497,6 @@ def main(argv=None) -> int:
     except ThresholdUnknown as exc:
         print(exc, file=sys.stderr)
         return EXIT_NEGATIVE
-    except UnknownSuite as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
     except (HyperfError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,7 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     _check_budget,
+    _check_k,
 )
 from .netflow import FlowNetwork
 from .orient import _reorient
@@ -212,12 +213,30 @@ def _peel(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, list[int], list[
     return dmax, order, deleted
 
 
-def _incident(h: Hypergraph) -> list[list[int]]:
-    inc = [[] for _ in range(h.n)]
-    for ei, edge in enumerate(h.edges):
+def _first_fit(h: Hypergraph, order: list[int], cap: int) -> list[int]:
+    """Label each vertex, taken from the end of the elimination order, with
+    the lowest class in which it closes at most `cap` edges; an edge closes
+    in a class when its other vertices already carry that class.
+
+    A vertex closes at most degeneracy-many edges in all, so with d the
+    degeneracy every label is at most floor(d / (cap + 1)).
+    """
+    incident: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
+    for edge in h.edges:
         for v in edge:
-            inc[v].append(ei)
-    return inc
+            incident[v].append(edge)
+    label = [-1] * h.n  # an unlabelled vertex is in class -1, which no vertex takes
+    for v in reversed(order):
+        closed = []
+        for edge in incident[v]:
+            classes = {label[u] for u in edge if u != v}
+            if len(classes) == 1:
+                closed.append(classes.pop())
+        c = 0
+        while closed.count(c) > cap:
+            c += 1
+        label[v] = c
+    return label
 
 
 def szekeres_wilf_coloring(h: Hypergraph) -> list[int]:
@@ -227,20 +246,7 @@ def szekeres_wilf_coloring(h: Hypergraph) -> list[int]:
     (each vertex, when colored, sits in at most `degeneracy` edges whose
     other vertices are all colored already).
     """
-    _, order = degeneracy(h)
-    incident = _incident(h)
-    color = [-1] * h.n
-    for v in reversed(order):
-        forbidden = set()
-        for ei in incident[v]:
-            cs = {color[u] for u in h.edges[ei] if u != v}
-            if -1 not in cs and len(cs) == 1:
-                forbidden.add(cs.pop())
-        c = 0
-        while c in forbidden:
-            c += 1
-        color[v] = c
-    return color
+    return _first_fit(h, degeneracy(h)[1], 0)
 
 
 def _greedy_clique(h: Hypergraph) -> int:
@@ -554,8 +560,7 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
     edge, so no test is built.
     """
     _check_budget(budget)
-    if k < 0:
-        raise BadParams(f"k must be >= 0, got {k}")
+    _check_k(k)
     mad_ok = _hakimi_oracle(h, k) if k > 0 else None
     value, parts, _ = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)
     covered = set(v for p in parts for v in p)
@@ -570,29 +575,16 @@ def partition_degenerate(h: Hypergraph, k: int) -> list[list[int]]:
     order backwards, each vertex has at most r(k+1)-1 edges into the
     already-placed vertices, so some part receives at most k of them.
     """
-    if k < 0:
-        raise BadParams(f"k must be >= 0, got {k}")
+    _check_k(k)
     d, order = degeneracy(h)
     limit = h.r * (k + 1) - 1
     if d > limit:
         raise NotDegenerateEnough(
             f"degeneracy {d} exceeds r(k+1)-1 = {limit}; no split guaranteed"
         )
-    incident = _incident(h)
-    parts: list[set[int]] = [set() for _ in range(h.r)]
-    for v in reversed(order):
-        placed = False
-        for part in parts:
-            load = sum(
-                1
-                for ei in incident[v]
-                if part.issuperset(u for u in h.edges[ei] if u != v)
-            )
-            if load <= k:
-                part.add(v)
-                placed = True
-                break
-        assert placed, "pigeonhole on the elimination degree must find a part"
+    label = _first_fit(h, order, k)
+    assert max(label, default=0) < h.r, "pigeonhole on the elimination degree must find a part"
+    parts = [[v for v in range(h.n) if label[v] == i] for i in range(h.r)]
     for part in parts:
         assert _peel(h, part)[0] <= k
-    return [sorted(p) for p in parts]
+    return parts

@@ -24,6 +24,7 @@ from .hypercore import (
     Orientation,
     PositionIndex,
     _check_budget,
+    _check_k,
     _check_p,
     _touched_vectors,
     ascending_orientation,
@@ -63,8 +64,7 @@ class FReport:
 
 def f_count(d: Orientation, p: int, k: int) -> int:
     """Number of p-sets whose coordinates are all >= k under d."""
-    if k < 0:
-        raise BadParams(f"k must be >= 0, got {k}")
+    _check_k(k)
     _check_p(p, d.base.r)
     if k == 0:
         return math.comb(d.base.n, p)
@@ -88,8 +88,7 @@ def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGE
     and expands none.
     """
     _check_budget(budget)
-    if k < 0:
-        raise BadParams(f"k must be >= 0, got {k}")
+    _check_k(k)
     _check_p(p, h.r)
     if k == 0:
         return FReport(
@@ -166,11 +165,10 @@ def f_via_m(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport
     coordinate, so the constructed orientation attains the value exactly;
     this is re-verified before returning.
     """
-    if k < 1:
-        raise BadParams(f"k must be >= 1, got {k}")
+    _check_k(k, 1)
     res = m_value(h, k - 1, budget)
     value = h.n - res.value
-    d = orient_from_partition(h, k, res.parts, res.remainder)
+    d = orient_from_partition(h, k, res.parts)
     achieved = f_count(d, 1, k)
     assert achieved == value, "partition orientation must attain n - M(H,k-1)"
     return FReport(
@@ -213,8 +211,7 @@ class MultipartiteResult:
 def closed_form_multipartite(sizes, k: int) -> MultipartiteResult:
     """f for complete multipartite graphs: sum of the classes beyond the two
     largest, minus 2k-2, valid when the listed size conditions hold."""
-    if k < 1:
-        raise BadParams(f"k must be >= 1, got {k}")
+    _check_k(k, 1)
     if not sizes or any(s <= 0 for s in sizes):
         raise BadParams(f"class sizes must be positive, got {list(sizes)}")
     ns = sorted(sizes, reverse=True)
@@ -256,8 +253,7 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
     Bounds whose hypotheses fail, or whose ingredient searches blow the
     budget, are listed as inapplicable with the reason.
     """
-    if k < 1:
-        raise BadParams(f"k must be >= 1, got {k}")
+    _check_k(k, 1)
     n, r = h.n, h.r
     out = []
 

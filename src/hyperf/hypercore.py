@@ -80,6 +80,11 @@ def _check_p(p: int, r: int):
         raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
 
 
+def _check_k(k: int, least: int = 0):
+    if k < least:
+        raise BadParams(f"k must be >= {least}, got {k}")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An r-uniform hypergraph in canonical form."""
@@ -95,6 +100,8 @@ class Hypergraph:
         seen = set()
         for e in self.edges:
             _check_edge(e, self.n, self.r)
+            if list(e) != sorted(e):
+                raise BadParams(f"edge {e} not sorted")
             if e in seen:
                 raise DuplicateEdge(f"duplicate edge {e}")
             seen.add(e)
@@ -129,8 +136,6 @@ def _check_edge(e: Sequence[int], n: int, r: int):
             raise VertexOutOfRange(f"vertex {v!r} not in 0..{n - 1}")
     if len(set(e)) != r:
         raise RepeatedVertexInEdge(f"repeated vertex in edge {tuple(e)}")
-    if list(e) != sorted(e):
-        raise BadParams(f"edge {tuple(e)} not sorted")
 
 
 def canonicalize(raw_edges: Iterable[Sequence[int]], n: int, r: int) -> Hypergraph:
@@ -143,19 +148,9 @@ def canonicalize(raw_edges: Iterable[Sequence[int]], n: int, r: int) -> Hypergra
         raise BadParams(f"need n >= 0 and r >= 2, got n={n} r={r}")
     edges = []
     for raw in raw_edges:
-        if len(raw) != r:
-            raise BadParams(f"edge {tuple(raw)} does not have {r} vertices")
-        for v in raw:
-            if not isinstance(v, int) or not (0 <= v < n):
-                raise VertexOutOfRange(f"vertex {v!r} not in 0..{n - 1}")
-        e = tuple(sorted(raw))
-        if len(set(e)) != r:
-            raise RepeatedVertexInEdge(f"repeated vertex in edge {tuple(raw)}")
-        edges.append(e)
+        _check_edge(raw, n, r)
+        edges.append(tuple(sorted(raw)))
     edges.sort()
-    for a, b in zip(edges, edges[1:]):
-        if a == b:
-            raise DuplicateEdge(f"duplicate edge {a}")
     return Hypergraph(n, r, tuple(edges))
 
 

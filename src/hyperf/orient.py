@@ -20,6 +20,7 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     Orientation,
+    _check_k,
     degree_vectors,
 )
 
@@ -131,17 +132,11 @@ def orient_budget(h: Hypergraph, budget: Mapping[int, int]) -> Orientation | Inf
 
 def orient_max_outdeg(h: Hypergraph, k: int) -> Orientation | Infeasible:
     """Orientation with every position-0 degree at most k, if one exists."""
-    if k < 0:
-        raise BadParams(f"k must be >= 0, got {k}")
+    _check_k(k)
     return orient_budget(h, {v: k for v in range(h.n)})
 
 
-def orient_from_partition(
-    h: Hypergraph,
-    k: int,
-    parts: Sequence[Iterable[int]],
-    remainder: Iterable[int] | None = None,
-) -> Orientation:
+def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]]) -> Orientation:
     """Orientation leaving every vertex of part i deficient at coordinate i.
 
     Needs each part sparse enough to orient internally with position-0
@@ -150,50 +145,44 @@ def orient_from_partition(
     position is i; every other edge takes its lexicographically first
     ordering in which no vertex of part i stands at position i (the
     lowest-index rule of orient_forbidden), which is ascending for an edge
-    inside the remainder.  The result has deg_i(v) <= k-1 for all v in
-    part i.
+    meeting no part.  The result has deg_i(v) <= k-1 for all v in part i.
     """
-    if k < 1:
-        raise BadParams(f"k must be >= 1, got {k}")
+    _check_k(k, 1)
     if len(parts) > h.r:
         raise BadParams(f"at most r={h.r} parts allowed, got {len(parts)}")
     psets = [sorted(set(part)) for part in parts]
-    psets += [[] for _ in range(h.r - len(psets))]
-    seen: set[int] = set()
-    for part in psets:
+    part_of: dict[int, int] = {}
+    for i, part in enumerate(psets):
         for v in part:
             if not (0 <= v < h.n):
                 raise BadParams(f"part vertex {v} out of range")
-            if v in seen:
+            if v in part_of:
                 raise PartsNotDisjoint(f"vertex {v} is in two parts")
-            seen.add(v)
-    rest = sorted(set(range(h.n)) - seen)
-    if remainder is not None and sorted(set(remainder)) != rest:
-        raise BadParams("remainder must be exactly the vertices outside the parts")
-    part_of = {v: i for i, part in enumerate(psets) for v in part}
+            part_of[v] = i
 
-    orders: list[tuple[int, ...] | None] = [None] * h.e
-    # parts are disjoint, so one owner list and one caps list serve them all
+    # the part an edge lies inside, or -1
+    inside = []
+    for edge in h.edges:
+        i = part_of.get(edge[0], -1)
+        inside.append(i if all(part_of.get(v) == i for v in edge) else -1)
+    internal = [ei for ei, i in enumerate(inside) if i >= 0]
+    # a reorientation path from an edge inside part i stays in part i, so
+    # one pass over all parts gives each part its own owners and dead set
     owner = [edge[0] for edge in h.edges]
-    caps = [k - 1] * h.n
-    for i, part in enumerate(psets):
-        internal = h.edges_inside(part)
-        dead = _reorient(h.edges, internal, caps, owner)
-        if dead:
-            raise PartNotSparse(
-                f"part {i} cannot bound coordinate {i} by {k - 1}; "
-                f"dense subset {tuple(sorted(dead))}"
-            )
-        for ei in internal:
-            first = owner[ei]
-            base = (first,) + tuple(v for v in h.edges[ei] if v != first)
-            rotated = [0] * h.r
-            for j, v in enumerate(base):
-                rotated[(j + i) % h.r] = v
-            orders[ei] = tuple(rotated)
-    for ei, edge in enumerate(h.edges):
-        if orders[ei] is None:
-            orders[ei] = _lowest_order(edge, part_of)
+    dead = _reorient(h.edges, internal, [k - 1] * h.n, owner)
+    if dead:
+        i = min(part_of[v] for v in dead)
+        raise PartNotSparse(
+            f"part {i} cannot bound coordinate {i} by {k - 1}; "
+            f"dense subset {tuple(sorted(v for v in dead if part_of[v] == i))}"
+        )
+    orders = []
+    for edge, i, first in zip(h.edges, inside, owner):
+        if i < 0:
+            orders.append(_lowest_order(edge, part_of))
+        else:
+            base = (first,) + tuple(v for v in edge if v != first)
+            orders.append(tuple(base[(j - i) % h.r] for j in range(h.r)))
 
     load = [0] * h.n
     for order in orders:
@@ -271,8 +260,7 @@ def deficiency_coloring(d: Orientation, p: int, k: int) -> dict[tuple[int, ...],
     are all >= k gets the sentinel C(r,p).  The sentinel count is exactly
     the number of p-sets this orientation leaves everywhere-full.
     """
-    if k < 0:
-        raise BadParams(f"k must be >= 0, got {k}")
+    _check_k(k)
     return {
         pset: next((i for i, c in enumerate(coords) if c <= k - 1), len(coords))
         for pset, coords in degree_vectors(d, p).items()

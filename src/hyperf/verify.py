@@ -19,6 +19,7 @@ from math import comb
 
 from .hypercore import (
     DEFAULT_NODE_BUDGET,
+    BadParams,
     Hypergraph,
     HyperfError,
     _check_budget,
@@ -106,6 +107,9 @@ def _suite(name):
 
 def random_corpus(count, seed, ranks=(2, 3, 4), n_max=10, e_max=12):
     """Deterministic list of small random hypergraphs used by the suites."""
+    if not ranks or n_max < max(ranks) or e_max < 0:
+        raise BadParams(f"need nonempty ranks, each <= n_max, and e_max >= 0, "
+                        f"got ranks={ranks} n_max={n_max} e_max={e_max}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -189,6 +189,13 @@ def test_f_threshold_small_cases():
     assert payload["found"] is None and payload["method"] == "via-b"
 
 
+def test_f_threshold_skips_an_n_whose_search_blows_the_budget():
+    res = f_threshold(3, 2, 1, 9, budget=2000)
+    assert res.scanned == tuple((n, 0) for n in range(3, 8))
+    assert res.skipped == (8, 9)
+    assert res.found is None
+
+
 @pytest.mark.parametrize("r, p, k, n_max", [(3, 2, 2, 12), (4, 2, 1, 13)])
 def test_f_threshold_brute_scans_past_five(r, p, k, n_max):
     res = f_threshold(r, p, k, n_max)
@@ -219,6 +226,11 @@ def test_find_tset_examples():
     assert find_tset(transitive, 1, 1, 0) == ()
     assert find_tset(transitive, 1, 1, 5) is None
     assert find_tset(ascending_orientation(complete(7, 3)), 1, 1, 1) == (2,)
+
+
+def test_find_tset_stops_at_its_budget():
+    with pytest.raises(BudgetExceeded, match="t-set search exceeded 5 nodes"):
+        find_tset(ascending_orientation(complete(9, 3)), 2, 1, 9, budget=5)
 
 
 def test_find_tset_at_level_zero_takes_the_first_t_vertices():

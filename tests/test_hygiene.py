@@ -2,7 +2,8 @@
 no function imports anything, every private top-level function or class,
 and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
-encoder, and the verify suites share one harness."""
+encoder, the verify suites share one harness, and one helper checks a
+level k."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import inspect
 from pathlib import Path
 
 from hyperf.hypercore import DEFAULT_NODE_BUDGET
+from hyperf.orient import orient_from_partition
 from hyperf.verify import SUITES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperf"
@@ -164,3 +166,17 @@ def test_one_verify_harness():
         params = inspect.signature(suite).parameters
         assert params["seed"].default == 1
         assert params["budget"].default == DEFAULT_NODE_BUDGET
+
+
+def test_one_level_check():
+    # hypercore._check_k alone words the "k must be >= ..." refusal
+    holders = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "k must be" in path.read_text(encoding="utf-8")
+    ]
+    assert holders == ["hypercore.py"]
+
+
+def test_partition_orientation_takes_no_remainder():
+    # the vertices outside the parts are the function's to compute
+    assert list(inspect.signature(orient_from_partition).parameters) == ["h", "k", "parts"]

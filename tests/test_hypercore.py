@@ -85,6 +85,35 @@ def test_canonicalize_rejects_bad_edges():
         canonicalize([(0, 1)], 3, 3)
 
 
+def test_canonicalize_and_hypergraph_check_edges_in_one_order():
+    # length, then range, then repeats; a stored edge must also be sorted
+    cases = [
+        (lambda: canonicalize([(1, 1, 2, 9)], 3, 3), BadParams,
+         "edge (1, 1, 2, 9) does not have 3 vertices"),
+        (lambda: canonicalize([(3, 3, 9)], 4, 3), VertexOutOfRange, "vertex 9 not in 0..3"),
+        (lambda: canonicalize([(2, 1, 2)], 3, 3), RepeatedVertexInEdge,
+         "repeated vertex in edge (2, 1, 2)"),
+        (lambda: Hypergraph(3, 3, ((2, 1, 2),)), RepeatedVertexInEdge,
+         "repeated vertex in edge (2, 1, 2)"),
+        (lambda: Hypergraph(3, 2, ((1, 0),)), BadParams, "edge (1, 0) not sorted"),
+        (lambda: Hypergraph(3, 2, ((0, 1), (0, 1))), DuplicateEdge, "duplicate edge (0, 1)"),
+        (lambda: Hypergraph(3, 2, ((1, 2), (0, 1))), BadParams,
+         "edge list not in canonical (lexicographic) order"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_random_corpus_rejects_impossible_sizes():
+    with pytest.raises(BadParams):
+        hyperf.verify.random_corpus(3, 1, ranks=(3,), n_max=2)
+    with pytest.raises(BadParams):
+        hyperf.verify.random_corpus(3, 1, e_max=-1)
+    assert len(hyperf.verify.random_corpus(3, 1, ranks=(3,), n_max=3, e_max=0)) == 3
+
+
 def test_degrees_and_edges_inside():
     h = complete(4, 2)
     assert h.degrees() == [3, 3, 3, 3]

@@ -157,6 +157,19 @@ def test_partition_orientation_rejects_bad_parts():
         orient_from_partition(complete(4, 2), 1, ((0, 1, 2),))
     with pytest.raises(BadParams):
         orient_from_partition(complete(4, 2), 1, ((0, 1), (2, 3), (0,)))
+    with pytest.raises(BadParams, match="part vertex 4 out of range"):
+        orient_from_partition(complete(4, 2), 1, ((0, 4),))
+
+
+def test_partition_not_sparse_names_the_lowest_failing_part():
+    # two parts are too dense in each case; the message names the lower one
+    # and only its dense subset
+    with pytest.raises(PartNotSparse) as caught:
+        orient_from_partition(complete(7, 3), 1, ((0,), (1, 2, 3), (4, 5, 6)))
+    assert str(caught.value) == "part 1 cannot bound coordinate 1 by 0; dense subset (1, 2, 3)"
+    with pytest.raises(PartNotSparse) as caught:
+        orient_from_partition(complete(8, 2), 2, ((4, 5, 6, 0), (1, 2, 3, 7)))
+    assert str(caught.value) == "part 0 cannot bound coordinate 0 by 1; dense subset (0, 4, 5, 6)"
 
 
 def _first_admissible(edge, parts):
@@ -203,6 +216,13 @@ def test_forbidden_coordinates_pair_case():
 def test_forbidden_coordinates_needs_boundary_p():
     with pytest.raises(BadPSet):
         orient_forbidden(complete(5, 4), {(0, 1): 0}, 2)
+
+
+def test_forbidden_coordinates_reject_a_wrong_size_pset_or_color():
+    with pytest.raises(BadPSet, match="is not a 1-set"):
+        orient_forbidden(complete(4, 3), {(0, 1): 0}, 1)
+    with pytest.raises(BadParams, match="color 7 of"):
+        orient_forbidden(complete(4, 3), {(0,): 7}, 1)
 
 
 def test_deficiency_coloring_transitive_triangle():
