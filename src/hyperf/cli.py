@@ -219,9 +219,17 @@ def _closed_report(h: Hypergraph, p: int, k: int) -> FReport | None:
 
 
 # ----------------------------------------------------------------- commands
+#
+# Each command returns (exit code, JSON payload, text lines) and prints
+# nothing on stdout; main prints the payload under --json and the lines
+# otherwise, leaving out the _Detail lines under --quiet.
 
 
-def _cmd_gen(args, budget) -> int:
+class _Detail(str):
+    """A text line that --quiet drops."""
+
+
+def _cmd_gen(args, budget):
     family = args.family
     if family == "complete":
         _require(args, "n", "r")
@@ -247,15 +255,9 @@ def _cmd_gen(args, budget) -> int:
         h = generate(family, g=_read_hypergraph(args.input))
     if args.output:
         write_path(h, args.output)
-        if args.json:
-            print(to_json({"written": args.output, "n": h.n, "r": h.r, "e": h.e}))
-        elif not args.quiet:
-            print(f"wrote {args.output}: n={h.n} r={h.r} e={h.e}")
-    elif args.json:
-        print(to_json(h))
-    else:
-        sys.stdout.write(to_text(h))
-    return EXIT_OK
+        return EXIT_OK, {"written": args.output, "n": h.n, "r": h.r, "e": h.e}, [
+            _Detail(f"wrote {args.output}: n={h.n} r={h.r} e={h.e}")]
+    return EXIT_OK, h, to_text(h).splitlines()
 
 
 def _require(args, *names):
@@ -265,30 +267,20 @@ def _require(args, *names):
         raise _UsageError(f"hyperf gen {args.family}: missing {flags}")
 
 
-def _cmd_mad(args, budget) -> int:
+def _cmd_mad(args, budget):
     value, witness, spread = mad_certificate(_read_hypergraph(args.file))
-    if args.json:
-        print(to_json({"mad": value, "witness": witness, "spread": spread}))
-    else:
-        print(f"{value.numerator}/{value.denominator}")
-        if not args.quiet:
-            print("witness:", " ".join(str(v) for v in witness))
-    return EXIT_OK
+    return EXIT_OK, {"mad": value, "witness": witness, "spread": spread}, [
+        f"{value.numerator}/{value.denominator}",
+        _Detail("witness: " + " ".join(map(str, witness)))]
 
 
-def _cmd_degeneracy(args, budget) -> int:
-    h = _read_hypergraph(args.file)
-    value, order = degeneracy(h)
-    if args.json:
-        print(to_json({"degeneracy": value, "order": order}))
-    else:
-        print(value)
-        if not args.quiet:
-            print("order:", " ".join(str(v) for v in order))
-    return EXIT_OK
+def _cmd_degeneracy(args, budget):
+    value, order = degeneracy(_read_hypergraph(args.file))
+    return EXIT_OK, {"degeneracy": value, "order": order}, [
+        str(value), _Detail("order: " + " ".join(map(str, order)))]
 
 
-def _cmd_orient(args, budget) -> int:
+def _cmd_orient(args, budget):
     h = _read_hypergraph(args.file)
     if (args.max_outdeg is None) == (args.budget_file is None):
         raise _UsageError("hyperf orient: give exactly one of --max-outdeg or --budget-file")
@@ -297,25 +289,17 @@ def _cmd_orient(args, budget) -> int:
     else:
         result = orient_budget(h, _read_budget_file(args.budget_file))
     if isinstance(result, Infeasible):
-        if args.json:
-            print(to_json({"feasible": False, "witness": result.witness,
-                           "edges_inside": result.edges_inside, "capacity": result.capacity}))
-        else:
-            inside = " ".join(str(v) for v in result.witness)
-            print(f"infeasible: vertices {inside} span {result.edges_inside} "
-                  f"edges but have total capacity {result.capacity}")
-        return EXIT_NEGATIVE
-    if args.json:
-        print(to_json({"feasible": True, "n": h.n, "r": h.r, "orders": result.orders}))
-        if args.output:
-            write_path(result, args.output)
-    elif args.output:
+        payload = {"feasible": False, "witness": result.witness,
+                   "edges_inside": result.edges_inside, "capacity": result.capacity}
+        inside = " ".join(map(str, result.witness))
+        return EXIT_NEGATIVE, payload, [
+            f"infeasible: vertices {inside} span {result.edges_inside} "
+            f"edges but have total capacity {result.capacity}"]
+    payload = {"feasible": True, "n": h.n, "r": h.r, "orders": result.orders}
+    if args.output:
         write_path(result, args.output)
-        if not args.quiet:
-            print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(to_text(result))
-    return EXIT_OK
+        return EXIT_OK, payload, [_Detail(f"wrote {args.output}")]
+    return EXIT_OK, payload, to_text(result).splitlines()
 
 
 def _read_budget_file(path) -> dict:
@@ -339,7 +323,7 @@ def _read_budget_file(path) -> dict:
     return caps
 
 
-def _cmd_f(args, budget) -> int:
+def _cmd_f(args, budget):
     h = _read_hypergraph(args.file)
     method = args.method
     rep = _closed_report(h, args.p, args.k) if method in ("auto", "closed") else None
@@ -355,7 +339,7 @@ def _cmd_f(args, budget) -> int:
     if method == "closed":
         if rep is None:
             print("no closed form applies to this instance", file=sys.stderr)
-            return EXIT_NEGATIVE
+            return EXIT_NEGATIVE, {"applicable": False, "p": args.p, "k": args.k}, []
     elif method == "via-m":
         if args.p != 1:
             raise _UsageError("hyperf f: --method via-m requires --p 1")
@@ -366,124 +350,79 @@ def _cmd_f(args, budget) -> int:
         rep = f_p1_exact(h, args.p, budget)
     else:
         rep = f_bruteforce(h, args.p, args.k, budget)
-    if args.json:
-        print(to_json(rep))
-    else:
-        print(rep.value)
-        if not args.quiet:
-            print("method:", rep.method)
-    return EXIT_OK
+    return EXIT_OK, rep, [str(rep.value), _Detail(f"method: {rep.method}")]
 
 
-def _cmd_chi_r(args, budget) -> int:
-    h = _read_hypergraph(args.file)
-    value = chi_r(h, args.p, budget)
-    if args.json:
-        print(to_json({"chi_r": value, "p": args.p}))
-    else:
-        print(value)
-    return EXIT_OK
+def _cmd_chi_r(args, budget):
+    value = chi_r(_read_hypergraph(args.file), args.p, budget)
+    return EXIT_OK, {"chi_r": value, "p": args.p}, [str(value)]
 
 
-def _cmd_b(args, budget) -> int:
-    h = _read_hypergraph(args.file)
-    result = b_value(h, args.p, budget)
-    if args.json:
-        print(to_json({"b": result.value, "p": args.p, "coloring": result.coloring}))
-    else:
-        print(result.value)
-        if not args.quiet:
-            colored = " ".join(
-                f"{'-'.join(str(v) for v in pset)}:{c}"
-                for pset, c in sorted(result.coloring.colored.items()))
-            print("coloring:", colored if colored else "(empty)")
-    return EXIT_OK
+def _cmd_b(args, budget):
+    result = b_value(_read_hypergraph(args.file), args.p, budget)
+    colored = " ".join(f"{'-'.join(map(str, pset))}:{c}"
+                       for pset, c in sorted(result.coloring.colored.items()))
+    return EXIT_OK, {"b": result.value, "p": args.p, "coloring": result.coloring}, [
+        str(result.value), _Detail(f"coloring: {colored or '(empty)'}")]
 
 
-def _cmd_m(args, budget) -> int:
-    h = _read_hypergraph(args.file)
-    result = m_value(h, args.k, budget)
-    if args.json:
-        print(to_json({"m": result.value, "k": args.k, "parts": result.parts,
-                       "remainder": result.remainder}))
-    else:
-        print(result.value)
-        if not args.quiet:
-            for i, part in enumerate(result.parts):
-                print(f"part {i}:", " ".join(str(v) for v in part))
-    return EXIT_OK
+def _cmd_m(args, budget):
+    result = m_value(_read_hypergraph(args.file), args.k, budget)
+    payload = {"m": result.value, "k": args.k, "parts": result.parts,
+               "remainder": result.remainder}
+    return EXIT_OK, payload, [str(result.value)] + [
+        _Detail(f"part {i}: " + " ".join(map(str, part))) for i, part in enumerate(result.parts)]
 
 
-def _cmd_bounds(args, budget) -> int:
-    h = _read_hypergraph(args.file)
-    rows = bounds(h, args.k, budget)
-    if args.json:
-        print(to_json({"k": args.k, "bounds": rows}))
-    else:
-        for b in rows:
-            if not b.applicable and args.quiet:
-                continue
-            status = "" if b.applicable else "  [not applicable]"
-            note = f"  ({b.note})" if b.note and not args.quiet else ""
-            print(f"{b.name}: {b.side} {b.value}{status}{note}")
-    return EXIT_OK
+def _cmd_bounds(args, budget):
+    rows = bounds(_read_hypergraph(args.file), args.k, budget)
+    lines = []
+    for b in rows:
+        line = f"{b.name}: {b.side} {b.value}"
+        if not b.applicable:
+            line = _Detail(f"{line}  [not applicable]" + (f"  ({b.note})" if b.note else ""))
+        lines.append(line)
+    return EXIT_OK, {"k": args.k, "bounds": rows}, lines
 
 
-def _cmd_tset(args, budget) -> int:
+def _cmd_tset(args, budget):
     obj = read_path(args.file)
     if not isinstance(obj, Orientation):
         raise _UsageError("hyperf tset: input must be an oriented file")
     found = find_tset(obj, args.p, args.k, args.t, budget)
     if found is None:
-        if args.json:
-            print(to_json({"found": False, "p": args.p, "k": args.k, "t": args.t}))
-        else:
-            print(f"no {args.t}-set with all {args.p}-subsets everywhere-full "
-                  f"at level {args.k}")
-        return EXIT_NEGATIVE
-    if args.json:
-        print(to_json({"found": True, "tset": found}))
-    else:
-        print(" ".join(str(v) for v in found))
-    return EXIT_OK
+        return EXIT_NEGATIVE, {"found": False, "p": args.p, "k": args.k, "t": args.t}, [
+            f"no {args.t}-set with all {args.p}-subsets everywhere-full at level {args.k}"]
+    return EXIT_OK, {"found": True, "tset": found}, [" ".join(map(str, found))]
 
 
-def _cmd_pack(args, budget) -> int:
+def _cmd_pack(args, budget):
     result = packing_bound(args.n, args.r, args.p, args.k, m=args.m, budget=budget)
-    if args.json:
-        print(to_json(result))
-    else:
-        print(result.count)
-        if not args.quiet and result.blocks:
-            print(f"blocks of size {result.m}:",
-                  "; ".join(" ".join(str(v) for v in b) for b in result.blocks))
-    return EXIT_OK
+    lines = [str(result.count)]
+    if result.blocks:
+        blocks = "; ".join(" ".join(map(str, b)) for b in result.blocks)
+        lines.append(_Detail(f"blocks of size {result.m}: {blocks}"))
+    return EXIT_OK, result, lines
 
 
-def _cmd_verify(args, budget) -> int:
+def _cmd_verify(args, budget):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [verify_suite(name, seed=args.seed, budget=budget) for name in names]
-    if args.json:
-        print(to_json(reports[0] if len(reports) == 1 else {"suites": reports}))
-    else:
-        for rep in reports:
-            print(f"{rep.suite}: {rep.passed} passed, {rep.failed} failed "
-                  f"({rep.seconds:.2f}s)")
-            if not args.quiet:
-                for check in rep.checks:
-                    if not check.ok:
-                        print(f"  FAIL {check.instance}: {check.relation} sees "
-                              f"{check.values}")
-    failed = sum(rep.failed for rep in reports)
-    return EXIT_VERIFY if failed else EXIT_OK
+    lines = []
+    for rep in reports:
+        lines.append(f"{rep.suite}: {rep.passed} passed, {rep.failed} failed "
+                     f"({rep.seconds:.2f}s)")
+        lines += [_Detail(f"  FAIL {check.instance}: {check.relation} sees {check.values}")
+                  for check in rep.checks if not check.ok]
+    code = EXIT_VERIFY if any(rep.failed for rep in reports) else EXIT_OK
+    return code, reports[0] if len(reports) == 1 else {"suites": reports}, lines
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        budget = _resolve_budget(args)
-        return args.func(args, budget)
+        code, payload, lines = args.func(args, _resolve_budget(args))
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
@@ -500,6 +439,13 @@ def main(argv=None) -> int:
     except (HyperfError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        print(to_json(payload))
+    else:
+        for line in lines:
+            if not (args.quiet and isinstance(line, _Detail)):
+                print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -235,7 +235,7 @@ def _check_pset(pset: Sequence[int], n: int, r: int) -> tuple[int, ...]:
     if list(t) != sorted(set(t)):
         raise BadPSet(f"p-set {t} must be sorted and distinct")
     for v in t:
-        if not (0 <= v < n):
+        if not isinstance(v, int) or not (0 <= v < n):
             raise BadPSet(f"p-set vertex {v} not in 0..{n - 1}")
     return t
 

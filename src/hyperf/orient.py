@@ -154,7 +154,7 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
     part_of: dict[int, int] = {}
     for i, part in enumerate(psets):
         for v in part:
-            if not (0 <= v < h.n):
+            if not isinstance(v, int) or not (0 <= v < h.n):
                 raise BadParams(f"part vertex {v} out of range")
             if v in part_of:
                 raise PartsNotDisjoint(f"vertex {v} is in two parts")

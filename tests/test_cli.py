@@ -165,6 +165,15 @@ def test_f_auto_checks_the_closed_forms_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_f_closed_without_a_closed_form_prints_a_document(tmp_path, capsys):
+    src = tmp_path / "path.hg"
+    write_path(canonicalize([(0, 1), (1, 2)], 3, 2), src)
+    assert main(["f", str(src), "--method", "closed", "--k", "2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"applicable": False, "p": 1, "k": 2}
+    assert captured.err == "no closed form applies to this instance\n"
+
+
 def test_b_json_coloring_roundtrip(tmp_path, capsys):
     src = tmp_path / "h.hg"
     write_path(complete(5, 3), src)
@@ -320,14 +329,17 @@ _VERIFY_KEYS = {"suite", "seed", "passed", "failed", "seconds", "checks"}
     (["pack", "--n", "7", "--r", "3", "--p", "2", "--k", "1", "--m", "3"], 0,
      {"m", "blocks", "count"}),
     (["verify", "multipartite"], 0, _VERIFY_KEYS),
+    (["f", "{path}", "--method", "closed"], 2, {"applicable", "p", "k"}),
 ])
 def test_json_payload_keys(tmp_path, capsys, argv, code, keys):
     files = {"dir": tmp_path, "k4": tmp_path / "k4.hg", "k43": tmp_path / "k43.hg",
-             "k53": tmp_path / "k53.hg", "cyclic": tmp_path / "cyclic.or"}
+             "k53": tmp_path / "k53.hg", "cyclic": tmp_path / "cyclic.or",
+             "path": tmp_path / "path.hg"}
     write_path(complete(4, 2), files["k4"])
     write_path(complete(4, 3), files["k43"])
     write_path(complete(5, 3), files["k53"])
     write_path(Orientation(complete(3, 2), ((0, 1), (2, 0), (1, 2))), files["cyclic"])
+    write_path(canonicalize([(0, 1), (1, 2)], 3, 2), files["path"])
     payload = _json_of(capsys, [arg.format(**files) for arg in argv], code)
     assert set(payload) == keys
     if argv[0] == "b":
@@ -368,6 +380,72 @@ def test_json_encodings(tmp_path, capsys):
     assert coloring == {"p": 2, "colors": 3, "colored": colored}
     via_b = _json_of(capsys, ["f", str(k53), "--p", "2", "--method", "via-b"])
     assert via_b["witness_coloring"] == colored
+
+
+# (argv, exit code, stdout lines, stdout lines under --quiet), run in the
+# directory that holds the files the test writes
+_PINNED = [
+    (["gen", "complete", "--n", "3", "--r", "2"], 0,
+     ["hypergraph n=3 r=2", "e 0 1", "e 0 2", "e 1 2"],
+     ["hypergraph n=3 r=2", "e 0 1", "e 0 2", "e 1 2"]),
+    (["gen", "complete", "--n", "3", "--r", "2", "-o", "out.hg"], 0,
+     ["wrote out.hg: n=3 r=2 e=3"], []),
+    (["mad", "g.hg"], 0, ["2/1", "witness: 0 1 2 3"], ["2/1"]),
+    (["degeneracy", "g.hg"], 0, ["2", "order: 4 3 0 1 2"], ["2"]),
+    (["orient", "g.hg", "--max-outdeg", "1"], 0,
+     ["oriented n=5 r=2", "o 0 1", "o 2 0", "o 1 2", "o 3 2"],
+     ["oriented n=5 r=2", "o 0 1", "o 2 0", "o 1 2", "o 3 2"]),
+    (["orient", "g.hg", "--max-outdeg", "1", "-o", "out.or"], 0, ["wrote out.or"], []),
+    (["orient", "k4.hg", "--max-outdeg", "1"], 2,
+     ["infeasible: vertices 0 1 2 3 span 6 edges but have total capacity 4"],
+     ["infeasible: vertices 0 1 2 3 span 6 edges but have total capacity 4"]),
+    (["f", "g.hg"], 0, ["1", "method: via-m"], ["1"]),
+    (["f", "k4.hg", "--k", "2", "--method", "closed"], 0, ["0", "method: closed"], ["0"]),
+    (["f", "g.hg", "--method", "closed"], 2, [], []),
+    (["f", "k43.hg", "--p", "2", "--method", "brute"], 0, ["0", "method: brute"], ["0"]),
+    (["chi-r", "k53.hg", "--p", "2"], 0, ["2"], ["2"]),
+    (["b", "k53.hg", "--p", "2"], 0,
+     ["10", "coloring: 0-1:0 0-2:0 0-3:0 0-4:0 1-2:1 1-3:1 1-4:2 2-3:2 2-4:1 3-4:1"], ["10"]),
+    (["m", "g.hg", "--k", "1"], 0, ["5", "part 0: 0 1 2 3 4", "part 1: "], ["5"]),
+    (["bounds", "g.hg", "--k", "1"], 0,
+     ["independence: lower -1", "degenerate-upper: upper 1", "degenerate-lower: lower -1",
+      "chromatic: lower 1",
+      "average-degree: upper None  [not applicable]  (needs average degree >= 4k-2 = 2)",
+      "independence-upper: upper 2", "chromatic-ratio: upper 1", "triangle-hitting: lower 1",
+      "clique-factor: lower -5"],
+     ["independence: lower -1", "degenerate-upper: upper 1", "degenerate-lower: lower -1",
+      "chromatic: lower 1", "independence-upper: upper 2", "chromatic-ratio: upper 1",
+      "triangle-hitting: lower 1", "clique-factor: lower -5"]),
+    (["tset", "cyclic.or", "--p", "1", "--k", "1", "--t", "3"], 0, ["0 1 2"], ["0 1 2"]),
+    (["tset", "cyclic.or", "--p", "1", "--k", "2", "--t", "3"], 2,
+     ["no 3-set with all 1-subsets everywhere-full at level 2"],
+     ["no 3-set with all 1-subsets everywhere-full at level 2"]),
+    (["pack", "--n", "7", "--r", "3", "--p", "2", "--k", "1", "--m", "3"], 0,
+     ["7", "blocks of size 3: 0 1 2; 0 3 4; 0 5 6; 1 3 5; 1 4 6; 2 3 6; 2 4 5"], ["7"]),
+    (["pack", "--n", "4", "--r", "3", "--p", "2", "--k", "1"], 0, ["0"], ["0"]),
+    (["verify", "pinned"], 4,
+     ["pinned: 1 passed, 1 failed (0.00s)", "  FAIL bad: x == y sees {'x': 1, 'y': 2}"],
+     ["pinned: 1 passed, 1 failed (0.00s)"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, quiet", _PINNED)
+def test_text_and_quiet_stdout_are_pinned(tmp_path, capsys, monkeypatch, argv, code, text, quiet):
+    def pinned(seed=1, budget=None):
+        checks = [CheckResult(instance="good", relation="x == x", values={"x": 1}, ok=True),
+                  CheckResult(instance="bad", relation="x == y", values={"x": 1, "y": 2}, ok=False)]
+        return VerifySuiteReport(suite="pinned", seed=seed, checks=checks)
+
+    monkeypatch.setitem(SUITES, "pinned", pinned)
+    write_path(canonicalize([(0, 1), (1, 2), (2, 3), (0, 2)], 5, 2), tmp_path / "g.hg")
+    write_path(complete(4, 2), tmp_path / "k4.hg")
+    write_path(complete(4, 3), tmp_path / "k43.hg")
+    write_path(complete(5, 3), tmp_path / "k53.hg")
+    write_path(Orientation(complete(3, 2), ((0, 1), (2, 0), (1, 2))), tmp_path / "cyclic.or")
+    monkeypatch.chdir(tmp_path)
+    for flags, expected in (([], text), (["--quiet"], quiet)):
+        assert main([*argv, *flags]) == code
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
 
 
 def test_gen_missing_params_exit_one(capsys):

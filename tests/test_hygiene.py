@@ -2,8 +2,8 @@
 no function imports anything, every private top-level function or class,
 and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
-encoder, the verify suites share one harness, and one helper checks a
-level k."""
+encoder, the verify suites share one harness, one helper checks a level
+k, and one function in cli.py writes stdout."""
 
 import ast
 import importlib
@@ -180,3 +180,22 @@ def test_one_level_check():
 def test_partition_orientation_takes_no_remainder():
     # the vertices outside the parts are the function's to compute
     assert list(inspect.signature(orient_from_partition).parameters) == ["h", "k", "parts"]
+
+
+def test_one_cli_printer():
+    # every command returns its exit code, JSON payload and text lines, and
+    # cli.main alone prints them; stderr stays open to every command
+    def to_stdout(call):
+        if isinstance(call.func, ast.Name) and call.func.id == "print":
+            return not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                           for kw in call.keywords)
+        return ast.unparse(call.func) == "sys.stdout.write"
+
+    writers = {
+        func.name
+        for func in ast.walk(_parsed_sources()["cli.py"])
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and to_stdout(node)
+    }
+    assert writers == {"main"}

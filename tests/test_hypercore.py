@@ -18,6 +18,7 @@ import hyperf.verify
 from hyperf import (
     SUITES,
     BadParams,
+    BadPSet,
     DuplicateEdge,
     Hypergraph,
     HyperfError,
@@ -156,6 +157,12 @@ def test_degree_vector_pair_in_triple_system():
     assert dv.pset == (0, 1)
     assert tuple(dv.coords) == (2, 0, 0)
     assert max_coordinate(d, 0) >= 1
+
+
+def test_degree_vector_rejects_a_non_integer_vertex():
+    # 1.5 passes the range test 0 <= v < n but is no vertex
+    with pytest.raises(BadPSet, match=r"p-set vertex 1.5 not in 0\.\.3"):
+        degree_vector(ascending_orientation(complete(4, 3)), (1.5,))
 
 
 def test_random_orientation_is_seed_deterministic():

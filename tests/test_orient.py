@@ -161,6 +161,12 @@ def test_partition_orientation_rejects_bad_parts():
         orient_from_partition(complete(4, 2), 1, ((0, 4),))
 
 
+def test_partition_orientation_rejects_a_non_integer_part_vertex():
+    # 1.5 passes the range test 0 <= v < n but is no vertex
+    with pytest.raises(BadParams, match="part vertex 1.5 out of range"):
+        orient_from_partition(complete(4, 2), 1, [[1.5]])
+
+
 def test_partition_not_sparse_names_the_lowest_failing_part():
     # two parts are too dense in each case; the message names the lower one
     # and only its dense subset
