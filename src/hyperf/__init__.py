@@ -16,7 +16,6 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     Orientation,
-    PositionIndex,
     RepeatedVertexInEdge,
     VertexOutOfRange,
     ascending_orientation,

@@ -11,7 +11,7 @@ a node-budgeted depth-first search over the orientations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -22,10 +22,11 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     Orientation,
-    PositionIndex,
     _check_budget,
     _check_k,
     _check_p,
+    _placements,
+    _touched_psets,
     _touched_vectors,
     ascending_orientation,
 )
@@ -97,21 +98,17 @@ def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGE
             orientation=ascending_orientation(h),
             budget_used=0,
         )
-    pidx = PositionIndex(h.r, p)
-    npos = pidx.count
-    pid: dict[tuple[int, ...], int] = {}  # p-sets inside some edge only
+    npos = math.comb(h.r, p)
+    ids = {a: i for i, a in enumerate(_touched_psets(h, p))}
     edge_orders = [sorted(permutations(edge)) for edge in h.edges]
     edge_updates = [
-        [
-            tuple(pid.setdefault(a, len(pid)) * npos + rank
-                  for rank, a in enumerate(pidx.placements(order)))
-            for order in orders
-        ]
+        [tuple(ids[a] * npos + rank for rank, a in enumerate(placed))
+         for placed in _placements(orders, h.r, p)]
         for orders in edge_orders
     ]
 
-    coords = [0] * (len(pid) * npos)
-    deficit = [npos] * len(pid)
+    coords = [0] * (len(ids) * npos)
+    deficit = [npos] * len(ids)
     qualified = nodes = 0
     best = pick = None
     stack: list[int] = []  # ordering index of each oriented edge, in edge order
@@ -250,8 +247,8 @@ class Bound:
 def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bound]:
     """Every evaluable lower/upper bound on f(H,1,k), with its inputs.
 
-    Bounds whose hypotheses fail, or whose ingredient searches blow the
-    budget, are listed as inapplicable with the reason.
+    Bounds whose hypotheses fail, whose searches blow the budget, or which
+    f >= 0 makes vacuous are listed as inapplicable with the reason.
     """
     _check_k(k, 1)
     n, r = h.n, h.r
@@ -319,7 +316,8 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
                         bestv, bestt = val, t
             out.append(Bound("clique-factor", "lower", bestv, bestv is not None,
                              {"min_degree": delta, "t": bestt}))
-    return out
+    return [replace(b, applicable=False, note="vacuous: f >= 0")
+            if b.side == "lower" and b.applicable and b.value < 0 else b for b in out]
 
 
 @dataclass(frozen=True)

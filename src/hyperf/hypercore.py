@@ -9,7 +9,8 @@ ordering occupies position i (0-based, positions 0..r-1).
 For 1 <= p <= r-1, the p-subsets of the position set {0..r-1} are ranked
 lexicographically (rank 0 is {0..p-1}); the degree vector of a p-set A of
 vertices has one coordinate per position-subset, counting the edges in
-which A occupies exactly that set of positions.
+which A occupies exactly that set of positions (`_placements`).  The
+p-sets inside some edge are numbered by `_touched_psets`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class HyperfError(Exception):
@@ -151,41 +152,14 @@ def canonicalize(raw_edges: Iterable[Sequence[int]], n: int, r: int) -> Hypergra
         _check_edge(raw, n, r)
         edges.append(tuple(sorted(raw)))
     edges.sort()
-    return Hypergraph(n, r, tuple(edges))
-
-
-class PositionIndex:
-    """Ranking of the p-subsets of the r positions, lexicographic order.
-
-    rank({0..p-1}) == 0; unrank is its inverse.  count == C(r,p).
-    """
-
-    def __init__(self, r: int, p: int):
-        if not (1 <= p <= r - 1):
-            raise BadParams(f"need 1 <= p <= r-1, got p={p} r={r}")
-        self.r = r
-        self.p = p
-        self.sets = tuple(combinations(range(r), p))
-        self._rank = {s: i for i, s in enumerate(self.sets)}
-
-    @property
-    def count(self) -> int:
-        return len(self.sets)
-
-    def rank(self, positions: Sequence[int]) -> int:
-        key = tuple(positions)
-        if key not in self._rank:
-            raise BadParams(f"{key} is not a sorted {self.p}-subset of 0..{self.r - 1}")
-        return self._rank[key]
-
-    def unrank(self, i: int) -> tuple[int, ...]:
-        if not (0 <= i < len(self.sets)):
-            raise BadParams(f"position-set rank {i} out of range 0..{len(self.sets) - 1}")
-        return self.sets[i]
-
-    def placements(self, order: Sequence[int]) -> list[tuple[int, ...]]:
-        """The sorted p-set at each position subset of an ordered edge, in rank order."""
-        return [tuple(sorted(order[i] for i in s)) for s in self.sets]
+    for e, after in zip(edges, edges[1:]):
+        if e == after:
+            raise DuplicateEdge(f"duplicate edge {e}")
+    # every edge is checked, sorted and unique: skip __post_init__'s second pass
+    h = object.__new__(Hypergraph)
+    for name, value in (("n", n), ("r", r), ("edges", tuple(edges))):
+        object.__setattr__(h, name, value)
+    return h
 
 
 @dataclass(frozen=True)
@@ -240,16 +214,27 @@ def _check_pset(pset: Sequence[int], n: int, r: int) -> tuple[int, ...]:
     return t
 
 
+def _placements(orders: Iterable[Sequence[int]], r: int, p: int) -> Iterator[list[tuple[int, ...]]]:
+    """Per ordered edge, the sorted p-set at each position subset, in rank order."""
+    subsets = list(combinations(range(r), p))
+    for order in orders:
+        yield [tuple(sorted([order[i] for i in s])) for s in subsets]
+
+
+def _touched_psets(h: Hypergraph, p: int) -> list[tuple[int, ...]]:
+    """The p-sets inside some edge, in lexicographic order; a p-set's id is its index."""
+    return sorted({a for edge in h.edges for a in combinations(edge, p)})
+
+
 def degree_vector(d: Orientation, pset: Sequence[int]) -> DegreeVector:
     """Degree vector of one p-set under the orientation."""
     h = d.base
     a = _check_pset(pset, h.n, h.r)
-    pidx = PositionIndex(h.r, len(a))
-    coords = [0] * pidx.count
+    coords = [0] * math.comb(h.r, len(a))
     aset = set(a)
-    for edge, order in zip(h.edges, d.orders):
-        if aset.issubset(edge):
-            coords[pidx.placements(order).index(a)] += 1
+    orders = [order for edge, order in zip(h.edges, d.orders) if aset.issubset(edge)]
+    for placed in _placements(orders, h.r, len(a)):
+        coords[placed.index(a)] += 1
     return DegreeVector(a, tuple(coords))
 
 
@@ -267,11 +252,11 @@ def _touched_vectors(d: Orientation, p: int) -> dict[tuple[int, ...], list[int]]
     """Degree vectors of the p-sets inside some edge, in one pass over the
     edges; every other p-set has all-zero coordinates."""
     _check_p(p, d.base.r)
-    pidx = PositionIndex(d.base.r, p)
+    npos = math.comb(d.base.r, p)
     acc: dict[tuple[int, ...], list[int]] = {}
-    for order in d.orders:
-        for rank, a in enumerate(pidx.placements(order)):
-            acc.setdefault(a, [0] * pidx.count)[rank] += 1
+    for placed in _placements(d.orders, d.base.r, p):
+        for rank, a in enumerate(placed):
+            acc.setdefault(a, [0] * npos)[rank] += 1
     return acc
 
 

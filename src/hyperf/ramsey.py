@@ -24,6 +24,7 @@ from .hypercore import (
     Hypergraph,
     _check_budget,
     _check_p,
+    _touched_psets,
     canonicalize,
     complete,
 )
@@ -65,18 +66,16 @@ def check_mono(h: Hypergraph, coloring: PSetColoring) -> list[tuple[int, ...]]:
 
 
 def derived_pset_hypergraph(h: Hypergraph, p: int) -> Hypergraph:
-    """The C(r,p)-uniform hypergraph on p-set ranks induced by the edges.
+    """The C(r,p)-uniform hypergraph on the touched p-sets induced by the edges.
 
-    A coloring of the p-sets avoids p-monochromatic edges exactly when it
-    is a proper coloring of this hypergraph, so chi_r reduces to exact
-    hypergraph coloring.
+    Vertex i is the i-th p-set inside an edge, lexicographically; a coloring
+    of the p-sets avoids p-monochromatic edges exactly when it is a proper
+    coloring of this hypergraph, so chi_r reduces to exact coloring.
     """
     _check_p(p, h.r)
-    ranks = {a: i for i, a in enumerate(combinations(range(h.n), p))}
-    edges = [
-        tuple(sorted(ranks[s] for s in combinations(edge, p))) for edge in h.edges
-    ]
-    return canonicalize(edges, len(ranks), math.comb(h.r, p))
+    ids = {a: i for i, a in enumerate(_touched_psets(h, p))}
+    edges = [tuple(ids[s] for s in combinations(edge, p)) for edge in h.edges]
+    return canonicalize(edges, len(ids), math.comb(h.r, p))
 
 
 def chi_r(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -100,15 +99,24 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
 
     Each color class must be an independent set of the derived p-set
     hypergraph, so this is the sparse-parts search with C(r,p) parts and
-    cap 0 over p-set ranks: p-sets in decreasing edge-incidence order, used
-    colors first, then the next new color, and uncolored last.
+    cap 0 over the touched p-sets: p-sets in decreasing edge-incidence
+    order, used colors first, then the next new color, and uncolored last.
+    The p-sets inside no edge add to the value and to a budget exit's
+    `best`, and the witness colors them 0.
     """
     _check_budget(budget)
     derived = derived_pset_hypergraph(h, p)
-    value, classes, _ = _sparse_parts(derived, derived.r, 0, budget, "b search")
-    psets = list(combinations(range(h.n), p))
-    colored = {psets[a]: c for c, members in enumerate(classes) for a in members}
-    return BValueResult(value, PSetColoring(p, derived.r, colored))
+    untouched = math.comb(h.n, p) - derived.n
+    try:
+        value, classes, _ = _sparse_parts(derived, derived.r, 0, budget, "b search")
+    except BudgetExceeded as exc:
+        exc.best += untouched
+        raise
+    psets = _touched_psets(h, p)
+    touched = set(psets)
+    colored = {a: 0 for a in combinations(range(h.n), p) if a not in touched}
+    colored.update((psets[a], c) for c, members in enumerate(classes) for a in members)
+    return BValueResult(value + untouched, PSetColoring(p, derived.r, colored))
 
 
 def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_NODE_BUDGET) -> ThresholdResult:

@@ -408,14 +408,15 @@ _PINNED = [
      ["10", "coloring: 0-1:0 0-2:0 0-3:0 0-4:0 1-2:1 1-3:1 1-4:2 2-3:2 2-4:1 3-4:1"], ["10"]),
     (["m", "g.hg", "--k", "1"], 0, ["5", "part 0: 0 1 2 3 4", "part 1: "], ["5"]),
     (["bounds", "g.hg", "--k", "1"], 0,
-     ["independence: lower -1", "degenerate-upper: upper 1", "degenerate-lower: lower -1",
+     ["independence: lower -1  [not applicable]  (vacuous: f >= 0)",
+      "degenerate-upper: upper 1",
+      "degenerate-lower: lower -1  [not applicable]  (vacuous: f >= 0)",
       "chromatic: lower 1",
       "average-degree: upper None  [not applicable]  (needs average degree >= 4k-2 = 2)",
       "independence-upper: upper 2", "chromatic-ratio: upper 1", "triangle-hitting: lower 1",
-      "clique-factor: lower -5"],
-     ["independence: lower -1", "degenerate-upper: upper 1", "degenerate-lower: lower -1",
-      "chromatic: lower 1", "independence-upper: upper 2", "chromatic-ratio: upper 1",
-      "triangle-hitting: lower 1", "clique-factor: lower -5"]),
+      "clique-factor: lower -5  [not applicable]  (vacuous: f >= 0)"],
+     ["degenerate-upper: upper 1", "chromatic: lower 1", "independence-upper: upper 2",
+      "chromatic-ratio: upper 1", "triangle-hitting: lower 1"]),
     (["tset", "cyclic.or", "--p", "1", "--k", "1", "--t", "3"], 0, ["0 1 2"], ["0 1 2"]),
     (["tset", "cyclic.or", "--p", "1", "--k", "2", "--t", "3"], 2,
      ["no 3-set with all 1-subsets everywhere-full at level 2"],

@@ -2,7 +2,7 @@
 
 The reference finds where each vertex of a p-set stands in each ordered
 edge and ranks that position subset in the lexicographic list of all
-p-subsets of positions; it uses neither PositionIndex nor its placements.
+p-subsets of positions; it uses none of hypercore's placement helpers.
 """
 
 import tracemalloc

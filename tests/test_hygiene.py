@@ -3,7 +3,8 @@ no function imports anything, every private top-level function or class,
 and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
 encoder, the verify suites share one harness, one helper checks a level
-k, and one function in cli.py writes stdout."""
+k, one function in cli.py writes stdout, and no search enumerates all
+C(n,p) p-sets."""
 
 import ast
 import importlib
@@ -199,3 +200,34 @@ def test_one_cli_printer():
         if isinstance(node, ast.Call) and to_stdout(node)
     }
     assert writers == {"main"}
+
+
+# outputs dense by contract (the degree-vector table, b's witness colouring,
+# the complement graph) and verify's reference scans
+_DENSE_ENUMERATORS = {
+    "hypercore.py:degree_vectors",
+    "hypercore.py:complement",
+    "ramsey.py:b_value",
+    "verify.py:_triangle_hitting_by_scan",
+}
+
+
+def test_no_full_pset_enumeration():
+    # work scales with the e*C(r,p) p-sets inside edges, not with C(n,p):
+    # combinations(range(x.n), ...) appears only where the output is dense
+    def full_scan(call):
+        name = ast.unparse(call.func)
+        return (name in ("combinations", "itertools.combinations") and call.args
+                and isinstance(call.args[0], ast.Call) and ast.unparse(call.args[0].func) == "range"
+                and len(call.args[0].args) == 1 and isinstance(call.args[0].args[0], ast.Attribute)
+                and call.args[0].args[0].attr == "n")
+
+    scanners = {
+        f"{name}:{func.name}"
+        for name, tree in _parsed_sources().items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and full_scan(node)
+    }
+    assert scanners <= _DENSE_ENUMERATORS, sorted(scanners - _DENSE_ENUMERATORS)

@@ -1,4 +1,4 @@
-"""Data-model tests: validation, position indexing, generators, file I/O."""
+"""Data-model tests: validation, generators, file I/O."""
 
 import inspect
 import json
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hyperf.extremal
 import hyperf.fcalc
+import hyperf.hypercore
 import hyperf.ramsey
 import hyperf.verify
 from hyperf import (
@@ -24,7 +25,6 @@ from hyperf import (
     HyperfError,
     FormatError,
     Orientation,
-    PositionIndex,
     RepeatedVertexInEdge,
     VertexOutOfRange,
     ascending_orientation,
@@ -107,6 +107,20 @@ def test_canonicalize_and_hypergraph_check_edges_in_one_order():
         assert str(caught.value) == message
 
 
+def test_canonicalize_checks_each_edge_once(monkeypatch):
+    calls = []
+    check = hyperf.hypercore._check_edge
+    monkeypatch.setattr(hyperf.hypercore, "_check_edge", lambda *a: calls.append(a) or check(*a))
+    h = canonicalize([(2, 1), (0, 1), (2, 3)], 4, 2)
+    assert len(calls) == 3
+    assert h == Hypergraph(4, 2, ((0, 1), (1, 2), (2, 3)))
+    del calls[:]
+    with pytest.raises(DuplicateEdge) as caught:
+        canonicalize([(0, 1), (2, 1), (1, 0), (1, 2)], 3, 2)
+    assert str(caught.value) == "duplicate edge (0, 1)"
+    assert len(calls) == 4
+
+
 def test_random_corpus_rejects_impossible_sizes():
     with pytest.raises(BadParams):
         hyperf.verify.random_corpus(3, 1, ranks=(3,), n_max=2)
@@ -121,17 +135,6 @@ def test_degrees_and_edges_inside():
     assert h.degree(0) == 3
     assert h.edges_inside([0, 1, 2]) == [0, 1, 3]
     assert h.edges_inside([3]) == []
-
-
-def test_position_index_rank_unrank_roundtrip():
-    for r in range(2, 7):
-        for p in range(1, r):
-            idx = PositionIndex(r, p)
-            assert idx.count == comb(r, p)
-            assert list(idx.sets) == sorted(idx.sets)
-            for i, s in enumerate(idx.sets):
-                assert idx.rank(s) == i
-                assert idx.unrank(i) == s
 
 
 def test_orientation_requires_permutations_of_edges():
@@ -294,16 +297,6 @@ def test_write_and_read_path(tmp_path):
     target = tmp_path / "h.hg"
     write_path(h, target)
     assert read_path(target) == h
-
-
-def test_rank_corpus_matches_combinations():
-    rng = random.Random(1)
-    for _ in range(50):
-        r = rng.randint(2, 8)
-        p = rng.randint(1, r - 1)
-        idx = PositionIndex(r, p)
-        i = rng.randrange(idx.count)
-        assert idx.rank(idx.unrank(i)) == i
 
 
 def test_to_json_rules():

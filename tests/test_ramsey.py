@@ -1,7 +1,9 @@
 """Tests for p-set colorings: the Ramsey chromatic number, the largest
 safely colorable family, and the k=1 equality with f."""
 
+import json
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -22,7 +24,13 @@ from hyperf import (
     f_count,
     f_p1_exact,
     random_hypergraph,
+    to_json,
 )
+
+# inputs with p-sets inside no edge: a graph with isolated vertices 5 and
+# 6, and a 3-graph (K5 plus the triple 245) with vertex 6 isolated
+_SPARSE_GRAPH = canonicalize([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)], 7, 2)
+_SPARSE_TRIPLES = canonicalize(list(combinations(range(5), 3)) + [(2, 4, 5)], 7, 3)
 
 
 def test_pset_coloring_validation():
@@ -128,3 +136,59 @@ def test_family_complement_lower_bound_for_middle_p():
         h = random_hypergraph(n, 4, rng.randint(0, min(4, comb(n, 4))), seed=rng.randrange(10**6))
         brute = f_bruteforce(h, 2, 1).value
         assert brute >= comb(n, 2) - b_value(h, 2).value
+
+
+def _json(obj):
+    return json.loads(to_json(obj))
+
+
+def test_b_and_f_p1_witnesses_pinned_on_untouched_psets():
+    # a p-set inside no edge is coloured 0, and f_p1_exact's orientation
+    # is built from that colouring
+    def pinned(colored):
+        return [[list(a), c] for a, c in colored]
+
+    cases = [
+        (_SPARSE_GRAPH, 1, 2, 5, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [4, 3]],
+         [((0,), 1), ((3,), 0), ((4,), 1), ((5,), 0), ((6,), 0)]),
+        (_SPARSE_TRIPLES, 1, 3, 7,
+         [[0, 2, 1], [0, 3, 1], [0, 4, 1], [0, 3, 2], [0, 2, 4], [0, 3, 4], [1, 3, 2],
+          [1, 2, 4], [1, 3, 4], [3, 2, 4], [5, 2, 4]],
+         [((0,), 1), ((1,), 1), ((2,), 0), ((3,), 2), ((4,), 0), ((5,), 1), ((6,), 0)]),
+        (_SPARSE_TRIPLES, 2, 3, 21,
+         [[1, 2, 0], [1, 3, 0], [0, 4, 1], [2, 3, 0], [0, 4, 2], [0, 4, 3], [2, 1, 3],
+          [1, 2, 4], [1, 3, 4], [2, 3, 4], [4, 5, 2]],
+         [((0, 1), 0), ((0, 2), 0), ((0, 3), 0), ((0, 4), 1), ((0, 5), 0), ((0, 6), 0),
+          ((1, 2), 1), ((1, 3), 1), ((1, 4), 0), ((1, 5), 0), ((1, 6), 0), ((2, 3), 2),
+          ((2, 4), 0), ((2, 5), 0), ((2, 6), 0), ((3, 4), 0), ((3, 5), 0), ((3, 6), 0),
+          ((4, 5), 1), ((4, 6), 0), ((5, 6), 0)]),
+    ]
+    for h, p, colors, b, orders, colored in cases:
+        assert _json(b_value(h, p)) == {
+            "value": b, "coloring": {"p": p, "colors": colors, "colored": pinned(colored)}}
+        assert _json(f_p1_exact(h, p)) == {
+            "value": comb(h.n, p) - b, "method": "via-b", "budget_used": None,
+            "orientation": {"n": h.n, "r": h.r, "orders": orders},
+            "witness_coloring": pinned(colored), "witness_parts": None, "witness_remainder": None}
+
+
+def test_chi_r_pinned_on_untouched_psets():
+    assert chi_r(_SPARSE_GRAPH, 1) == 4
+    assert chi_r(_SPARSE_TRIPLES, 1) == 3
+    assert chi_r(_SPARSE_TRIPLES, 2) == 2
+
+
+def test_derived_hypergraph_numbers_only_touched_psets():
+    # vertex i is the i-th p-set, in lexicographic order, of those inside an edge
+    one_edge = canonicalize([(0, 1, 2)], 300, 3)
+    assert derived_pset_hypergraph(one_edge, 2).n == 3
+    derived = derived_pset_hypergraph(_SPARSE_TRIPLES, 2)
+    assert derived.n == comb(7, 2) - 6 - 3
+    assert derived.edges[-1] == (8, 9, 11)  # 245: pairs 24, 25 and 45
+
+
+def test_b_budget_exit_counts_untouched_psets():
+    one_edge = canonicalize([(0, 1, 2)], 300, 3)
+    with pytest.raises(BudgetExceeded) as err:
+        b_value(one_edge, 2, budget=0)
+    assert err.value.best == comb(300, 2) - 3
