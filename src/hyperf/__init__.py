@@ -98,6 +98,7 @@ from .ramsey import (
     derived_pset_hypergraph,
     f_p1_exact,
     f_threshold,
+    f_value,
 )
 from .verify import (
     SUITES,

@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
-from math import comb
 
 from .hypercore import (
     DEFAULT_NODE_BUDGET,
@@ -32,18 +30,8 @@ from .hypercore import (
 )
 from .orient import Infeasible, orient_budget, orient_max_outdeg
 from .extremal import degeneracy, m_value, mad_certificate
-from .fcalc import (
-    FReport,
-    ThresholdUnknown,
-    bounds,
-    closed_form_complete,
-    closed_form_multipartite,
-    f_bruteforce,
-    f_via_m,
-    find_tset,
-    packing_bound,
-)
-from .ramsey import b_value, chi_r, f_p1_exact
+from .fcalc import ThresholdUnknown, bounds, find_tset, packing_bound
+from .ramsey import F_METHODS, b_value, chi_r, f_value
 from .verify import SUITES, verify_suite
 
 EXIT_OK = 0
@@ -109,8 +97,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--method", choices=("auto", "brute", "via-m", "closed", "via-b"),
-                   default="auto")
+    p.add_argument("--method", choices=F_METHODS, default="auto")
     p.set_defaults(func=_cmd_f)
 
     p = sub.add_parser("chi-r", parents=[common], help="Ramsey p-chromatic number")
@@ -179,43 +166,6 @@ def _read_hypergraph(path) -> Hypergraph:
     if isinstance(obj, Orientation):
         return obj.base
     return obj
-
-
-def _is_complete(h: Hypergraph) -> bool:
-    return h.e == comb(h.n, h.r)
-
-
-def _multipartite_sizes(g: Hypergraph):
-    """Class sizes if g is a complete multipartite graph, else None.
-
-    The classes are the groups of vertices with equal neighbour sets; the
-    graph is complete multipartite exactly when each vertex is adjacent to
-    every vertex outside its group.
-    """
-    if g.r != 2:
-        return None
-    adjacent = [set() for _ in range(g.n)]
-    for a, b in g.edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    keys = [frozenset(s) for s in adjacent]
-    groups = Counter(keys)
-    if any(len(key) != g.n - groups[key] for key in keys):
-        return None
-    return tuple(sorted(groups.values(), reverse=True))
-
-
-def _closed_report(h: Hypergraph, p: int, k: int) -> FReport | None:
-    if p != 1:
-        return None
-    if _is_complete(h):
-        return FReport(value=closed_form_complete(h.n, h.r, k), method="closed")
-    sizes = _multipartite_sizes(h)
-    if sizes is not None:
-        res = closed_form_multipartite(sizes, k)
-        if res.applicable:
-            return FReport(value=res.value, method="closed")
-    return None
 
 
 # ----------------------------------------------------------------- commands
@@ -324,32 +274,10 @@ def _read_budget_file(path) -> dict:
 
 
 def _cmd_f(args, budget):
-    h = _read_hypergraph(args.file)
-    method = args.method
-    rep = _closed_report(h, args.p, args.k) if method in ("auto", "closed") else None
-    if method == "auto":
-        if rep is not None:
-            method = "closed"
-        elif args.p == 1:
-            method = "via-m"
-        elif args.k == 1 and args.p == h.r - 1:
-            method = "via-b"
-        else:
-            method = "brute"
-    if method == "closed":
-        if rep is None:
-            print("no closed form applies to this instance", file=sys.stderr)
-            return EXIT_NEGATIVE, {"applicable": False, "p": args.p, "k": args.k}, []
-    elif method == "via-m":
-        if args.p != 1:
-            raise _UsageError("hyperf f: --method via-m requires --p 1")
-        rep = f_via_m(h, args.k, budget)
-    elif method == "via-b":
-        if args.k != 1:
-            raise _UsageError("hyperf f: --method via-b requires --k 1")
-        rep = f_p1_exact(h, args.p, budget)
-    else:
-        rep = f_bruteforce(h, args.p, args.k, budget)
+    rep = f_value(_read_hypergraph(args.file), args.p, args.k, budget, args.method)
+    if rep is None:
+        print("no closed form applies to this instance", file=sys.stderr)
+        return EXIT_NEGATIVE, {"applicable": False, "p": args.p, "k": args.k}, []
     return EXIT_OK, rep, [str(rep.value), _Detail(f"method: {rep.method}")]
 
 

@@ -2,15 +2,16 @@
 
 Under an orientation, a p-set is everywhere-full at level k when all of
 its C(r,p) coordinates are >= k; f(D,p,k) counts such p-sets and f(H,p,k)
-is the minimum over orientations.  For p = 1 the minimum equals
-n - M(H,k-1) and is certified by a partition-derived orientation; for
-complete hypergraphs a closed form applies; everything else falls back to
-a node-budgeted depth-first search over the orientations.
+is the minimum over orientations.  closed_form covers complete and
+complete multipartite inputs at p = 1, f_via_m certifies n - M(H,k-1)
+by a partition-derived orientation, and f_bruteforce searches the
+orientations under a node budget; ramsey.f_value picks among them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -178,6 +179,41 @@ def f_via_m(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport
 
 
 # --------------------------------------------------------------- closed forms
+
+
+def closed_form(h: Hypergraph, p: int, k: int) -> FReport | None:
+    """f(H,1,k) by the closed form for complete hypergraphs (e = C(n,r)) or
+    complete multipartite graphs; None if none applies, or p != 1 or k < 1."""
+    if p != 1 or k < 1:
+        return None
+    if h.e == math.comb(h.n, h.r):
+        return FReport(value=closed_form_complete(h.n, h.r, k), method="closed")
+    sizes = _multipartite_sizes(h)
+    if sizes is not None:
+        res = closed_form_multipartite(sizes, k)
+        if res.applicable:
+            return FReport(value=res.value, method="closed")
+    return None
+
+
+def _multipartite_sizes(g: Hypergraph):
+    """Class sizes if g is a complete multipartite graph, else None.
+
+    The classes are the groups of vertices with equal neighbour sets; the
+    graph is complete multipartite exactly when each vertex is adjacent to
+    every vertex outside its group.
+    """
+    if g.r != 2:
+        return None
+    adjacent = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    keys = [frozenset(s) for s in adjacent]
+    groups = Counter(keys)
+    if any(len(key) != g.n - groups[key] for key in keys):
+        return None
+    return tuple(sorted(groups.values(), reverse=True))
 
 
 def complete_part_size(r: int, k: int) -> int:
@@ -364,7 +400,7 @@ class ThresholdResult:
     found: int | None
     scanned: tuple[tuple[int, int], ...]  # (n, f(n,r,p,k)) pairs
     skipped: tuple[int, ...]
-    method: str
+    method: str | None  # an FReport.method; None when every n was skipped
 
 
 def tset_threshold_q(r: int, p: int, k: int) -> int:

@@ -429,6 +429,8 @@ def to_json(obj) -> str:
 
 
 def _jsonable(obj):
+    if obj is None or isinstance(obj, (int, str)):
+        return obj  # before is_dataclass, which is slow on each of many leaves
     if isinstance(obj, Orientation):
         obj = {"n": obj.base.n, "r": obj.base.r, "orders": obj.orders}
     elif dataclasses.is_dataclass(obj):

@@ -6,8 +6,8 @@ no p-monochromatic edge.  b(H,p) caps the palette at C(r,p) colors but
 lets p-sets stay uncolored, and asks for the most colored p-sets such
 that no fully colored edge is p-monochromatic; a maximum family yields,
 for p in {1, r-1}, an orientation showing f(H,p,1) = C(n,p) - b(H,p).
-f_threshold finds the smallest complete hypergraph with f > 0, through b
-where that identity applies.
+f_value picks the exact route for f (here, as fcalc cannot import this
+module), and f_threshold scans the complete hypergraphs for f > 0.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from .extremal import _sparse_parts, chromatic_exact
 from .fcalc import (
     FReport,
     ThresholdResult,
+    closed_form,
     closed_form_complete,
     f_bruteforce,
     f_count,
+    f_via_m,
 )
 from .orient import orient_forbidden
 
@@ -119,34 +121,55 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     return BValueResult(value + untouched, PSetColoring(p, derived.r, colored))
 
 
+F_METHODS = ("auto", "brute", "via-m", "closed", "via-b")
+
+
+def f_value(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGET,
+            method: str = "auto") -> FReport | None:
+    """f(H,p,k) by a route in F_METHODS; None when "closed" finds no closed form.
+
+    "auto" tries the closed form, then via-m at p = 1 and k >= 1, then via-b
+    at k = 1 and p = r-1, else brute.  via-m needs p = 1 and via-b k = 1."""
+    _check_budget(budget)
+    if method not in F_METHODS:
+        raise BadParams(f"unknown f method {method!r}, expected one of {', '.join(F_METHODS)}")
+    if method in ("auto", "closed"):
+        rep = closed_form(h, p, k)
+        if rep is not None or method == "closed":
+            return rep
+        method = ("via-m" if p == 1 and k >= 1 else
+                  "via-b" if k == 1 and p == h.r - 1 else "brute")
+    if method == "via-m":
+        if p != 1:
+            raise BadParams(f"method via-m needs p = 1, got p={p}")
+        return f_via_m(h, k, budget)
+    if method == "via-b":
+        if k != 1:
+            raise BadParams(f"method via-b needs k = 1, got k={k}")
+        return f_p1_exact(h, p, budget)
+    return f_bruteforce(h, p, k, budget)
+
+
 def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_NODE_BUDGET) -> ThresholdResult:
     """Smallest n <= n_max with f(n,r,p,k) > 0, by the cheapest exact route.
 
-    p = 1 uses the closed form; p = r-1 with k = 1 goes through the p-set
-    family number b; anything else searches the orientations of the
-    complete hypergraph.  `budget` bounds each n's search on its own;
-    budget-blown n values are skipped and reported, which voids any
-    "not found up to n_max" reading.
+    p = 1 evaluates closed_form_complete without building K_n^(r); p >= 2
+    takes f_value on each K_n^(r), whose route is method (None if every n
+    is skipped).  `budget` bounds each n's search on its own; an n that
+    runs out is skipped and reported, voiding "not found up to n_max".
     """
     _check_budget(budget)
     if not (1 <= p <= r - 1) or k < 1 or n_max < 1:
         raise BadParams(f"bad threshold query r={r} p={p} k={k} n_max={n_max}")
-    scanned = []
-    skipped = []
-    if p == 1:
-        method = "closed-form"
-    elif k == 1 and p == r - 1:
-        method = "via-b"
-    else:
-        method = "brute"
+    scanned, skipped = [], []
+    method = "closed" if p == 1 else None
     for n in range(r, n_max + 1):
         try:
-            if method == "closed-form":
+            if p == 1:
                 val = closed_form_complete(n, r, k)
-            elif method == "via-b":
-                val = math.comb(n, p) - b_value(complete(n, r), p, budget).value
             else:
-                val = f_bruteforce(complete(n, r), p, k, budget).value
+                rep = f_value(complete(n, r), p, k, budget)
+                val, method = rep.value, rep.method
         except BudgetExceeded:
             skipped.append(n)
             continue

@@ -23,6 +23,7 @@ from hyperf import (
     write_path,
 )
 import hyperf.cli
+import hyperf.ramsey
 from hyperf.cli import main
 from hyperf.hypercore import max_coordinate, orientation_from_rows
 from hyperf.verify import SUITES, CheckResult, VerifySuiteReport
@@ -153,9 +154,9 @@ def test_f_auto_recognises_complete_multipartite(tmp_path, capsys):
 
 def test_f_auto_checks_the_closed_forms_once(tmp_path, capsys, monkeypatch):
     calls = []
-    closed_report = hyperf.cli._closed_report
-    monkeypatch.setattr(hyperf.cli, "_closed_report",
-                        lambda *args: calls.append(args) or closed_report(*args))
+    closed_form = hyperf.ramsey.closed_form
+    monkeypatch.setattr(hyperf.ramsey, "closed_form",
+                        lambda *args: calls.append(args) or closed_form(*args))
     src = tmp_path / "h.hg"
     for g in (complete_multipartite((3, 2, 2)), complete(5, 2), canonicalize([(0, 1)], 3, 2)):
         write_path(g, src)
@@ -163,6 +164,23 @@ def test_f_auto_checks_the_closed_forms_once(tmp_path, capsys, monkeypatch):
         assert main(["f", str(src), "--k", "1", "--json"]) == 0
         assert len(calls) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("g", [complete(5, 2), complete_multipartite((3, 2, 2)),
+                               canonicalize([(0, 1), (1, 2), (2, 3)], 4, 2)],
+                         ids=["K5", "K322", "path"])
+def test_f_at_level_zero_counts_every_vertex(tmp_path, capsys, g):
+    # at k = 0 every p-set is everywhere-full: auto takes the search, which
+    # expands no node, and no closed form applies
+    src = tmp_path / "h.hg"
+    write_path(g, src)
+    assert main(["f", str(src), "--k", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(g.n), "method: brute"]
+    assert main(["f", str(src), "--k", "0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["value"], payload["method"], payload["budget_used"]) == (g.n, "brute", 0)
+    assert main(["f", str(src), "--k", "0", "--method", "closed", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"applicable": False, "p": 1, "k": 0}
 
 
 def test_f_closed_without_a_closed_form_prints_a_document(tmp_path, capsys):

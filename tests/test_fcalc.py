@@ -27,6 +27,7 @@ from hyperf import (
     f_bruteforce,
     f_count,
     f_threshold,
+    f_value,
     f_via_m,
     find_tset,
     get_known_threshold,
@@ -39,6 +40,7 @@ from hyperf import (
     to_json,
 )
 import hyperf.fcalc
+import hyperf.ramsey
 
 
 def test_f_count_triangle_orientations():
@@ -179,7 +181,7 @@ def test_f_threshold_small_cases():
     res = f_threshold(2, 1, 1, 6)
     assert res.found == 3
     assert res.scanned == ((2, 0), (3, 1))
-    assert res.method == "closed-form"
+    assert res.method == "closed"
     assert f_threshold(3, 1, 1, 10).found == 7
     res = f_threshold(3, 2, 1, 5)
     assert res.found is None
@@ -187,6 +189,23 @@ def test_f_threshold_small_cases():
     assert res.method == "via-b"
     payload = json.loads(to_json(res))
     assert payload["found"] is None and payload["method"] == "via-b"
+
+
+def test_f_threshold_at_p1_builds_no_complete_hypergraph(monkeypatch):
+    def refuse(n, r):
+        raise AssertionError(f"built K_{n}^({r})")
+
+    monkeypatch.setattr(hyperf.ramsey, "complete", refuse)
+    assert f_threshold(2, 1, 100, 500).found == 399
+
+
+@pytest.mark.parametrize("r, p, k, n_max", [(3, 1, 1, 8), (3, 2, 1, 5), (3, 2, 2, 5)])
+def test_f_threshold_takes_the_route_of_f_value(r, p, k, n_max):
+    res = f_threshold(r, p, k, n_max)
+    assert res.scanned
+    for n, value in res.scanned:
+        rep = f_value(complete(n, r), p, k)
+        assert (rep.method, rep.value) == (res.method, value)
 
 
 def test_f_threshold_skips_an_n_whose_search_blows_the_budget():

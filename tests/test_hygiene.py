@@ -3,8 +3,8 @@ no function imports anything, every private top-level function or class,
 and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
 encoder, the verify suites share one harness, one helper checks a level
-k, one function in cli.py writes stdout, and no search enumerates all
-C(n,p) p-sets."""
+k, one function in cli.py writes stdout, ramsey.f_value alone chooses a
+route for f, and no search enumerates all C(n,p) p-sets."""
 
 import ast
 import importlib
@@ -200,6 +200,28 @@ def test_one_cli_printer():
         if isinstance(node, ast.Call) and to_stdout(node)
     }
     assert writers == {"main"}
+
+
+# the exact routes for f that ramsey.f_value chooses among
+_F_ROUTES = {"closed_form", "closed_form_complete", "closed_form_multipartite",
+             "f_via_m", "f_p1_exact", "b_value", "f_bruteforce"}
+
+
+def test_one_f_router():
+    # cli.py reaches f through ramsey.f_value alone, and f_threshold calls
+    # no route but f_value and, at p = 1, the complete-hypergraph formula
+    trees = _parsed_sources()
+    cli_imports = {
+        alias.name
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert cli_imports & _F_ROUTES <= {"b_value"}  # which `hyperf b` prints
+    threshold = next(node for node in trees["ramsey.py"].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "f_threshold")
+    called = {ast.unparse(node.func) for node in ast.walk(threshold) if isinstance(node, ast.Call)}
+    assert called & (_F_ROUTES | {"f_value"}) == {"f_value", "closed_form_complete"}
 
 
 # outputs dense by contract (the degree-vector table, b's witness colouring,

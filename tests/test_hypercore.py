@@ -45,6 +45,7 @@ from hyperf import (
     f_bruteforce,
     f_p1_exact,
     f_threshold,
+    f_value,
     f_via_m,
     find_tset,
     from_text,
@@ -331,6 +332,7 @@ _NODE_BUDGETED = {
     "ramsey.b_value": lambda b: b_value(complete(5, 3), 2, b),
     "ramsey.f_threshold": lambda b: f_threshold(3, 2, 1, 5, b),
     "ramsey.f_p1_exact": lambda b: f_p1_exact(complete(4, 3), 2, b),
+    "ramsey.f_value": lambda b: f_value(complete(4, 2), 1, 1, b),
     "verify.verify_suite": lambda b: verify_suite("multipartite", budget=b),
     "verify.run_all": lambda b: run_all(budget=b),
     **{f"verify.{suite.__name__}": (lambda b, suite=suite: suite(budget=b))

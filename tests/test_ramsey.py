@@ -23,6 +23,7 @@ from hyperf import (
     f_bruteforce,
     f_count,
     f_p1_exact,
+    f_value,
     random_hypergraph,
     to_json,
 )
@@ -127,6 +128,16 @@ def test_f_p1_exact_examples():
 def test_f_p1_exact_requires_boundary_p():
     with pytest.raises(BadPSet):
         f_p1_exact(complete(5, 4), 2)
+
+
+@pytest.mark.parametrize("method, p, k, match", [
+    ("fastest", 1, 1, "unknown f method 'fastest'"),
+    ("via-m", 2, 1, "via-m needs p = 1, got p=2"),
+    ("via-b", 1, 2, "via-b needs k = 1, got k=2"),
+])
+def test_f_value_refuses_a_route_outside_its_case(method, p, k, match):
+    with pytest.raises(BadParams, match=match):
+        f_value(complete(5, 3), p, k, method=method)
 
 
 def test_family_complement_lower_bound_for_middle_p():
