@@ -12,6 +12,7 @@ invocation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -180,41 +181,27 @@ class _Detail(str):
 
 
 def _cmd_gen(args, budget):
-    family = args.family
-    if family == "complete":
-        _require(args, "n", "r")
-        h = generate(family, n=args.n, r=args.r)
-    elif family == "multipartite":
-        _require(args, "sizes")
+    # each generator parameter is filled from the gen flag of its own name,
+    # except g, the hypergraph read from --input
+    flags = {name: "input" if name == "g" else name
+             for name in inspect.signature(GENERATORS[args.family]).parameters}
+    missing = [f"--{flag}" for flag in flags.values() if getattr(args, flag) is None]
+    if missing:
+        raise _UsageError(f"hyperf gen {args.family}: missing {', '.join(missing)}")
+    params = {name: getattr(args, flag) for name, flag in flags.items()}
+    if "g" in params:
+        params["g"] = _read_hypergraph(args.input)
+    if "sizes" in params:
         try:
-            sizes = tuple(int(s) for s in args.sizes.split(","))
+            params["sizes"] = tuple(int(s) for s in args.sizes.split(","))
         except ValueError:
-            raise _UsageError(f"hyperf gen multipartite: bad --sizes {args.sizes!r}") from None
-        h = generate(family, sizes=sizes)
-    elif family == "mop-fan":
-        _require(args, "n")
-        h = generate(family, n=args.n)
-    elif family == "mop-random":
-        _require(args, "n")
-        h = generate(family, n=args.n, seed=args.seed)
-    elif family == "random":
-        _require(args, "n", "r", "m")
-        h = generate(family, n=args.n, r=args.r, m=args.m, seed=args.seed)
-    else:  # join-k2, complement
-        _require(args, "input")
-        h = generate(family, g=_read_hypergraph(args.input))
+            raise _UsageError(f"hyperf gen {args.family}: bad --sizes {args.sizes!r}") from None
+    h = generate(args.family, **params)
     if args.output:
         write_path(h, args.output)
         return EXIT_OK, {"written": args.output, "n": h.n, "r": h.r, "e": h.e}, [
             _Detail(f"wrote {args.output}: n={h.n} r={h.r} e={h.e}")]
     return EXIT_OK, h, to_text(h).splitlines()
-
-
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n for n in missing)
-        raise _UsageError(f"hyperf gen {args.family}: missing {flags}")
 
 
 def _cmd_mad(args, budget):

@@ -320,10 +320,13 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
     A set S is sparse when it spans at most cap*|S| edges and, if it spans
     any, exact(bitmask of S) approves it.  The property must be closed
     under taking subsets, so a refused addition prunes the whole branch,
-    and adding a vertex that closes no edge must keep it, so exact is asked
-    only when an addition closes an edge.  cap is 0 for independent sets,
-    k for Mad <= r*k, and d for d-degenerate sets (peeling one removes at
-    most d edges per vertex).
+    and adding a vertex that closes at most cap edges must keep it, so
+    exact is asked only when an addition closes more than cap edges.  cap
+    is 0 for independent sets, k for Mad <= r*k (the closed edges can all
+    be given to the added vertex, so by Hakimi's theorem no load passes k),
+    and d for d-degenerate sets (peeling one removes at most d edges per
+    vertex, and the added vertex has degree <= d in every subset holding
+    it).
 
     Branch and bound over vertices in (-degree, index) order: a vertex
     joins each nonempty part, then the first empty one (parts fill in
@@ -386,7 +389,7 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
             grown = count + (near if r == 2 else sum(rest & part == rest for rest in closers[v]))
             if grown > cap * (part.bit_count() + 1):
                 return -1
-            if grown > count and exact is not None and not exact(part | 1 << v):
+            if grown - count > cap and exact is not None and not exact(part | 1 << v):
                 return -1
             return grown
 
@@ -503,8 +506,7 @@ def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     later = [set() for _ in range(g.n)]  # the neighbours above each vertex
     for u, w in g.edges:
         later[u].add(w)
-    # edges in lexicographic order, third vertex ascending: triangles in lexicographic order
-    tris = [(u, w, x) for u, w in g.edges for x in sorted(later[u] & later[w])]
+    tris = [(u, w, x) for u, w in g.edges for x in later[u] & later[w]]
     if not tris:
         return 0
     try:
@@ -555,7 +557,9 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
 
     The sparse-parts search with cap k, seeded by three greedy passes.  A
     part spanning at most k*|part| edges is tested exactly by
-    `_hakimi_oracle`'s warm-started reorientation; Mad only grows with the
+    `_hakimi_oracle`'s warm-started reorientation, but only when the vertex
+    just added closes more than k edges: a sparse part stays sparse when
+    the added vertex takes the edges it closes.  Mad only grows with the
     set, so a failed part is never extended.  At k = 0 no part spans an
     edge, so no test is built.
     """

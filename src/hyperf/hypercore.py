@@ -1,10 +1,11 @@
 """Core data model for r-uniform hypergraphs and their orientations.
 
 Vertices are the integers 0..n-1.  An edge is a sorted tuple of r distinct
-vertices; the edge list is deduplicated and lexicographically sorted, so a
-hypergraph has exactly one stored representation.  An orientation assigns
-to each edge an ordering of its r vertices; the vertex at index i of that
-ordering occupies position i (0-based, positions 0..r-1).
+vertices; the edge list is lexicographically sorted and holds no edge twice
+(a repeated edge raises DuplicateEdge), so a hypergraph has exactly one
+stored representation.  An orientation assigns to each edge an ordering
+of its r vertices; the vertex at index i of that ordering occupies
+position i (0-based, positions 0..r-1).
 
 For 1 <= p <= r-1, the p-subsets of the position set {0..r-1} are ranked
 lexicographically (rank 0 is {0..p-1}); the degree vector of a p-set A of
@@ -88,26 +89,26 @@ def _check_k(k: int, least: int = 0):
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An r-uniform hypergraph in canonical form."""
+    """An r-uniform hypergraph.  Edges come in any order and are stored
+    canonically: each is checked (length, range, repeats) and sorted, the
+    list is sorted, and an edge given twice raises DuplicateEdge."""
 
     n: int
     r: int
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         if self.n < 0 or self.r < 2:
             raise BadParams(f"need n >= 0 and r >= 2, got n={self.n} r={self.r}")
-        seen = set()
-        for e in self.edges:
-            _check_edge(e, self.n, self.r)
-            if list(e) != sorted(e):
-                raise BadParams(f"edge {e} not sorted")
-            if e in seen:
+        edges = []
+        for raw in self.edges:
+            _check_edge(raw, self.n, self.r)
+            edges.append(tuple(sorted(raw)))
+        edges.sort()
+        for e, after in zip(edges, edges[1:]):
+            if e == after:
                 raise DuplicateEdge(f"duplicate edge {e}")
-            seen.add(e)
-        if list(self.edges) != sorted(self.edges):
-            raise BadParams("edge list not in canonical (lexicographic) order")
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def e(self) -> int:
@@ -140,26 +141,8 @@ def _check_edge(e: Sequence[int], n: int, r: int):
 
 
 def canonicalize(raw_edges: Iterable[Sequence[int]], n: int, r: int) -> Hypergraph:
-    """Build a Hypergraph from unordered edge tuples.
-
-    Each tuple is sorted, the edge list is sorted lexicographically, and a
-    duplicate edge (after sorting) raises DuplicateEdge naming the edge.
-    """
-    if n < 0 or r < 2:
-        raise BadParams(f"need n >= 0 and r >= 2, got n={n} r={r}")
-    edges = []
-    for raw in raw_edges:
-        _check_edge(raw, n, r)
-        edges.append(tuple(sorted(raw)))
-    edges.sort()
-    for e, after in zip(edges, edges[1:]):
-        if e == after:
-            raise DuplicateEdge(f"duplicate edge {e}")
-    # every edge is checked, sorted and unique: skip __post_init__'s second pass
-    h = object.__new__(Hypergraph)
-    for name, value in (("n", n), ("r", r), ("edges", tuple(edges))):
-        object.__setattr__(h, name, value)
-    return h
+    """Build a Hypergraph from unordered edge tuples (see Hypergraph)."""
+    return Hypergraph(n, r, tuple(raw_edges))
 
 
 @dataclass(frozen=True)
@@ -206,11 +189,11 @@ def _check_pset(pset: Sequence[int], n: int, r: int) -> tuple[int, ...]:
     p = len(t)
     if not (1 <= p <= r - 1):
         raise BadPSet(f"p-set size must be in 1..{r - 1}, got {t}")
-    if list(t) != sorted(set(t)):
-        raise BadPSet(f"p-set {t} must be sorted and distinct")
-    for v in t:
+    for v in t:  # before sorting, which a non-integer vertex may break
         if not isinstance(v, int) or not (0 <= v < n):
             raise BadPSet(f"p-set vertex {v} not in 0..{n - 1}")
+    if list(t) != sorted(set(t)):
+        raise BadPSet(f"p-set {t} must be sorted and distinct")
     return t
 
 
@@ -276,9 +259,9 @@ def max_coordinate(d: Orientation, i: int) -> int:
 
 def complete(n: int, r: int) -> Hypergraph:
     """All C(n,r) edges on n vertices."""
-    if r < 2 or n < 0:
-        raise BadParams(f"need r >= 2 and n >= 0, got n={n} r={r}")
-    return Hypergraph(n, r, tuple(combinations(range(n), r)))
+    # the constructor checks n and r before it reads an edge; combinations
+    # itself would raise on r < 0
+    return Hypergraph(n, r, combinations(range(n), r) if r >= 0 else ())
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Hypergraph:

@@ -21,6 +21,7 @@ from .hypercore import (
     HyperfError,
     Orientation,
     _check_k,
+    _check_pset,
     degree_vectors,
 )
 
@@ -229,15 +230,17 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
     Only p = 1 and p = r-1 are accepted.  They guarantee an ordering of
     every edge only for colorings in which no fully colored edge is
     p-monochromatic, such as b_value's; any other coloring may raise
-    StuckEdge.
+    StuckEdge.  Every key must be a sorted p-set of h's vertices (BadPSet
+    otherwise); only the keys inside some edge are read.
     """
     if p not in (1, h.r - 1):
         raise BadPSet(f"forbidden-coordinate orientations need p in {{1, r-1}}, got {p}")
     colored: Mapping = getattr(coloring, "colored", coloring)
     for pset, c in colored.items():
+        _check_pset(pset, h.n, h.r)
         if len(pset) != p:
             raise BadPSet(f"{pset} is not a {p}-set")
-        if not (0 <= c < h.r):
+        if not isinstance(c, int) or not (0 <= c < h.r):
             raise BadParams(f"color {c} of {pset} outside 0..{h.r - 1}")
     orders = []
     for edge in h.edges:

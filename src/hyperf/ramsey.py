@@ -191,7 +191,10 @@ def f_p1_exact(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> FRep
         raise BadPSet(f"exact route needs p in {{1, r-1}}, got {p}")
     res = b_value(h, p, budget)
     value = math.comb(h.n, p) - res.value
-    d = orient_forbidden(h, res.coloring, p)
+    # orient_forbidden checks each key it is given and reads only the p-sets
+    # inside edges, so it gets those e*C(r,p), not the dense C(n,p)
+    colored = res.coloring.colored
+    d = orient_forbidden(h, {a: colored[a] for a in _touched_psets(h, p) if a in colored}, p)
     achieved = f_count(d, p, 1)
     assert achieved == value, "forbidden-coordinate orientation must attain the value"
     return FReport(

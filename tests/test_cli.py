@@ -14,10 +14,15 @@ from hyperf import (
     b_value,
     canonicalize,
     check_mono,
+    complement,
     complete,
     complete_multipartite,
     f_bruteforce,
     f_count,
+    join_k2,
+    mop_fan,
+    mop_random,
+    random_hypergraph,
     read_path,
     to_text,
     write_path,
@@ -25,7 +30,7 @@ from hyperf import (
 import hyperf.cli
 import hyperf.ramsey
 from hyperf.cli import main
-from hyperf.hypercore import max_coordinate, orientation_from_rows
+from hyperf.hypercore import GENERATORS, max_coordinate, orientation_from_rows
 from hyperf.verify import SUITES, CheckResult, VerifySuiteReport
 
 
@@ -469,6 +474,31 @@ def test_text_and_quiet_stdout_are_pinned(tmp_path, capsys, monkeypatch, argv, c
 
 def test_gen_missing_params_exit_one(capsys):
     assert main(["gen", "complete", "--n", "3"]) == 1
+
+
+# per family: the flags it needs, the generator called directly on the
+# --input graph, and the flags its missing-flag message names
+_GEN_FAMILIES = {
+    "complete": (["--n", "5", "--r", "3"], lambda g: complete(5, 3), "--n, --r"),
+    "multipartite": (["--sizes", "3,2,2"], lambda g: complete_multipartite((3, 2, 2)), "--sizes"),
+    "mop-fan": (["--n", "6"], lambda g: mop_fan(6), "--n"),
+    "mop-random": (["--n", "9", "--seed", "4"], lambda g: mop_random(9, 4), "--n"),
+    "join-k2": (["--input", "{g}"], join_k2, "--input"),
+    "complement": (["-i", "{g}"], complement, "--input"),
+    "random": (["--n", "7", "--r", "3", "--m", "9", "--seed", "2"],
+               lambda g: random_hypergraph(7, 3, 9, 2), "--n, --r, --m"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_gen_builds_every_family_from_its_flags(tmp_path, capsys, family):
+    flags, build, needed = _GEN_FAMILIES[family]
+    g = canonicalize([(0, 1), (1, 2), (2, 3)], 5, 2)
+    write_path(g, tmp_path / "g.hg")
+    assert main(["gen", family, *(f.format(g=tmp_path / "g.hg") for f in flags)]) == 0
+    assert capsys.readouterr().out == to_text(build(g))
+    assert main(["gen", family]) == 1
+    assert capsys.readouterr() == ("", f"hyperf gen {family}: missing {needed}\n")
 
 
 def test_gen_multipartite_rejects_non_integer_sizes(capsys):

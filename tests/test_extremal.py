@@ -558,6 +558,29 @@ def test_m_value_runs_no_max_flow(monkeypatch):
     assert calls[0] == 0
 
 
+def test_m_value_asks_its_part_test_only_past_k_closed_edges(monkeypatch):
+    # a join that closes at most k edges keeps a sparse part sparse (the
+    # joining vertex takes them), so every set the exact test is asked
+    # about has a vertex with more than k of its edges inside it
+    asked = []
+    build = extremal._hakimi_oracle
+
+    def recording(h, k):
+        sparse = build(h, k)
+        return lambda mask: asked.append(mask) or sparse(mask)
+
+    monkeypatch.setattr(extremal, "_hakimi_oracle", recording)
+    cases = [(random_hypergraph(16, 2, 60, seed=3), 1), (random_hypergraph(16, 2, 60, seed=3), 2),
+             (random_hypergraph(14, 2, 45, seed=8), 1), (random_hypergraph(10, 3, 40, seed=5), 1)]
+    for h, k in cases:
+        del asked[:]
+        m_value(h, k)
+        assert asked
+        for mask in asked:
+            inside = [h.edges[i] for i in h.edges_inside(v for v in range(h.n) if mask >> v & 1)]
+            assert any(sum(v in edge for edge in inside) > k for v in range(h.n)), (h, k, mask)
+
+
 def test_m_value_scans_no_edge_lists(monkeypatch):
     calls = [0]
     scan = Hypergraph.edges_inside

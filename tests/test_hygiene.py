@@ -4,7 +4,8 @@ and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
 encoder, the verify suites share one harness, one helper checks a level
 k, one function in cli.py writes stdout, ramsey.f_value alone chooses a
-route for f, and no search enumerates all C(n,p) p-sets."""
+route for f, no search enumerates all C(n,p) p-sets, and the Hypergraph
+constructor alone checks and sorts edges."""
 
 import ast
 import importlib
@@ -253,3 +254,54 @@ def test_no_full_pset_enumeration():
         if isinstance(node, ast.Call) and full_scan(node)
     }
     assert scanners <= _DENSE_ENUMERATORS, sorted(scanners - _DENSE_ENUMERATORS)
+
+
+def test_one_edge_canonicaliser():
+    # Hypergraph.__post_init__ is the one place that checks an edge, nothing
+    # builds a Hypergraph around it, and `hyperf gen` reads each family's
+    # parameters from its generator instead of naming the family
+    def functions(tree):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node
+            elif isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                            if isinstance(f, ast.FunctionDef))
+
+    trees = _parsed_sources()
+    checkers = [
+        f"{name}:{qualname}"
+        for name, tree in trees.items()
+        for qualname, func in functions(tree)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_check_edge"
+    ]
+    assert checkers == ["hypercore.py:Hypergraph.__post_init__"]
+    bypasses = [
+        name for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__new__"
+    ]
+    assert bypasses == []
+    gen = next(node for node in trees["cli.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "_cmd_gen")
+    family = {"args.family"} | {
+        target.id for node in ast.walk(gen) if isinstance(node, ast.Assign)
+        and ast.unparse(node.value) == "args.family"
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+    def names_family(side):
+        return ast.unparse(side) in family
+
+    def holds_literal(side):
+        return any(isinstance(c, ast.Constant) and isinstance(c.value, str) for c in ast.walk(side))
+
+    by_name = [
+        ast.unparse(node) for node in ast.walk(gen)
+        if isinstance(node, ast.Compare)
+        and any(map(names_family, [node.left, *node.comparators]))
+        and any(map(holds_literal, [node.left, *node.comparators]))
+        or isinstance(node, ast.Match) and names_family(node.subject)
+    ]
+    assert by_name == []

@@ -227,8 +227,16 @@ def test_forbidden_coordinates_needs_boundary_p():
 def test_forbidden_coordinates_reject_a_wrong_size_pset_or_color():
     with pytest.raises(BadPSet, match="is not a 1-set"):
         orient_forbidden(complete(4, 3), {(0, 1): 0}, 1)
-    with pytest.raises(BadParams, match="color 7 of"):
-        orient_forbidden(complete(4, 3), {(0,): 7}, 1)
+    for color in (7, 1.5, "x"):
+        with pytest.raises(BadParams, match=f"color {color} of"):
+            orient_forbidden(complete(4, 3), {(0,): color}, 1)
+
+
+@pytest.mark.parametrize("key, p", [((1, 0), 2), ((7, 9), 2), ((9,), 1), (("a",), 1), (("a", 1), 2)])
+def test_forbidden_coordinates_reject_a_malformed_key(key, p):
+    # an unsorted, out-of-range or non-integer p-set is refused, not skipped
+    with pytest.raises(BadPSet):
+        orient_forbidden(complete(4, 3), {key: 0}, p)
 
 
 def test_deficiency_coloring_transitive_triangle():
