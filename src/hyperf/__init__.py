@@ -45,7 +45,6 @@ from .orient import (
     PartNotSparse,
     PartsNotDisjoint,
     StuckEdge,
-    deficiency_coloring,
     orient_budget,
     orient_forbidden,
     orient_from_partition,
@@ -55,7 +54,6 @@ from .extremal import (
     MValueResult,
     NotDegenerateEnough,
     alpha,
-    alpha2,
     beta,
     chromatic_exact,
     degeneracy,
@@ -84,7 +82,6 @@ from .fcalc import (
     f_count,
     f_via_m,
     find_tset,
-    get_known_threshold,
     greedy_packing,
     packing_bound,
     tset_threshold_q,

@@ -240,23 +240,27 @@ def _cmd_orient(args, budget):
 
 
 def _read_budget_file(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     caps = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            try:
-                if len(fields) != 2:
-                    raise ValueError
-                v, cap = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise _UsageError(
-                    f"{path}:{lineno}: expected 'vertex cap', got {raw.strip()!r}")
-            if v in caps:
-                raise _UsageError(f"{path}:{lineno}: vertex {v} already has a cap")
-            caps[v] = cap
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        try:
+            if len(fields) != 2:
+                raise ValueError
+            v, cap = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise _UsageError(
+                f"{path}:{lineno}: expected 'vertex cap', got {raw.strip()!r}")
+        if v in caps:
+            raise _UsageError(f"{path}:{lineno}: vertex {v} already has a cap")
+        caps[v] = cap
     return caps
 
 

@@ -6,7 +6,7 @@ F; independence means containing no full edge; degeneracy is the largest
 min-degree over induced sub-hypergraphs.  M(H,k) is the largest union of
 r disjoint vertex sets whose induced parts all satisfy Mad <= r*k.
 
-alpha, alpha2, beta, M(H,k) and (in ``ramsey``) b(H,p) are one problem:
+alpha, beta, M(H,k) and (in ``ramsey``) b(H,p) are one problem:
 the largest union of q disjoint vertex sets, each with a hereditary
 sparsity property.  ``_sparse_parts`` is the single branch and bound that
 solves it.  ``chromatic_exact`` runs it once per palette size q (a proper
@@ -482,14 +482,6 @@ def beta(h: Hypergraph, d: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
         return _peel(h, _members(part))[0] <= d
 
     return _sparse_parts(h, 1, d, budget, "subset search", degenerate)[0]
-
-
-def alpha2(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Largest union of two disjoint independent sets of a graph."""
-    _check_budget(budget)
-    if g.r != 2:
-        raise BadParams("alpha2 is defined for graphs (r=2)")
-    return _sparse_parts(g, 2, 0, budget, "alpha2 search")[0]
 
 
 def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:

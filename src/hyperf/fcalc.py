@@ -387,11 +387,6 @@ KNOWN_THRESHOLDS = {
 }
 
 
-def get_known_threshold(r: int, p: int, k: int):
-    """(value, kind) from the recorded table, or None."""
-    return KNOWN_THRESHOLDS.get((r, p, k))
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     r: int

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -114,9 +115,6 @@ class Hypergraph:
     def e(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for edge in self.edges if v in edge)
-
     def degrees(self) -> list[int]:
         degs = [0] * self.n
         for edge in self.edges:
@@ -185,7 +183,10 @@ class DegreeVector:
 
 
 def _check_pset(pset: Sequence[int], n: int, r: int) -> tuple[int, ...]:
-    t = tuple(pset)
+    try:
+        t = tuple(pset)
+    except TypeError:
+        raise BadPSet(f"p-set {pset!r} is not a sequence of vertices") from None
     p = len(t)
     if not (1 <= p <= r - 1):
         raise BadPSet(f"p-set size must be in 1..{r - 1}, got {t}")
@@ -343,16 +344,17 @@ def random_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph:
         raise BadParams(f"need 0 <= m <= C({n},{r}) = {total}, got m={m}")
     rng = random.Random(seed)
     edges = []
-    # each pick ranks an r-subset in lexicographic order; unrank it vertex by vertex
+    # each pick ranks an r-subset in lexicographic order; unrank it vertex by
+    # vertex: of the t-subsets of lo..n-1, C(n-lo,t) - C(n-v,t) start below v,
+    # so the next vertex is the largest v with at most rank of them
     for rank in sorted(rng.sample(range(total), m)):
-        edge, v = [], 0
-        while len(edge) < r:
-            below = math.comb(n - v - 1, r - len(edge) - 1)  # ranks of the subsets taking v next
-            if rank < below:
-                edge.append(v)
-            else:
-                rank -= below
-            v += 1
+        edge, lo = [], 0
+        for t in range(r, 0, -1):
+            span = math.comb(n - lo, t)
+            v = lo - 1 + bisect_right(range(lo, n - t + 1), rank, key=lambda u: span - math.comb(n - u, t))
+            rank -= span - math.comb(n - v, t)
+            edge.append(v)
+            lo = v + 1
         edges.append(tuple(edge))
     return Hypergraph(n, r, tuple(edges))
 
@@ -474,8 +476,12 @@ def orientation_from_rows(rows: Iterable[Sequence[int]], n: int, r: int) -> Orie
 
 
 def read_path(path) -> Hypergraph | Orientation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return from_text(text)
 
 
 def write_path(obj: Hypergraph | Orientation, path):

@@ -22,7 +22,6 @@ from .hypercore import (
     Orientation,
     _check_k,
     _check_pset,
-    degree_vectors,
 )
 
 
@@ -254,17 +253,3 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
             raise StuckEdge(edge)
         orders.append(order)
     return Orientation(h, tuple(orders))
-
-
-def deficiency_coloring(d: Orientation, p: int, k: int) -> dict[tuple[int, ...], int]:
-    """Color each p-set by its first coordinate with count <= k-1.
-
-    Colors are coordinate indices 0..C(r,p)-1; a p-set whose coordinates
-    are all >= k gets the sentinel C(r,p).  The sentinel count is exactly
-    the number of p-sets this orientation leaves everywhere-full.
-    """
-    _check_k(k)
-    return {
-        pset: next((i for i, c in enumerate(coords) if c <= k - 1), len(coords))
-        for pset, coords in degree_vectors(d, p).items()
-    }

@@ -51,9 +51,10 @@ class PSetColoring:
 
     def __post_init__(self):
         for pset, c in self.colored.items():
-            if len(pset) != self.p or list(pset) != sorted(set(pset)):
-                raise BadPSet(f"{pset} is not a sorted {self.p}-set")
-            if not (0 <= c < self.colors):
+            if not (isinstance(pset, tuple) and len(pset) == self.p
+                    and all(isinstance(v, int) for v in pset) and list(pset) == sorted(set(pset))):
+                raise BadPSet(f"{pset!r} is not a sorted {self.p}-set of integer vertices")
+            if not isinstance(c, int) or not (0 <= c < self.colors):
                 raise BadParams(f"color {c} outside 0..{self.colors - 1}")
 
 

@@ -520,6 +520,24 @@ def test_budget_file_rejects_a_repeated_vertex(tmp_path, capsys):
     assert f"{caps}:4: vertex 0 already has a cap" in capsys.readouterr().err
 
 
+def test_non_utf8_input_file_is_one_line_error(tmp_path, capsys):
+    src = tmp_path / "bad.hg"
+    src.write_bytes(b"\xff\xfe")
+    assert main(["mad", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{src}: not UTF-8 text (invalid start byte at byte 0)"]
+
+
+def test_non_utf8_budget_file_is_one_line_error(tmp_path, capsys):
+    src = tmp_path / "k3.hg"
+    write_path(complete(3, 2), src)
+    caps = tmp_path / "caps.txt"
+    caps.write_bytes(b"0 2\n\xff\xfe\n")
+    assert main(["orient", str(src), "--budget-file", str(caps)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{caps}: not UTF-8 text (invalid start byte at byte 4)"]
+
+
 def test_verify_suite_passes(capsys):
     assert main(["verify", "ramsey-chi"]) == 0
     assert "ramsey-chi: 4 passed, 0 failed" in capsys.readouterr().out

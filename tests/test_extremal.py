@@ -17,7 +17,6 @@ from hyperf import (
     Hypergraph,
     NotDegenerateEnough,
     alpha,
-    alpha2,
     b_value,
     beta,
     canonicalize,
@@ -130,7 +129,7 @@ def test_sparse_part_searches_match_subset_enumeration(h, level):
     indep = _independent_sets(h)
     assert alpha(h) == _max_union(1, indep)
     if h.r == 2:
-        assert alpha2(h) == _max_union(2, indep)
+        assert m_value(h, 0).value == _max_union(2, indep)
     assert beta(h, level) == _max_union(1, _degenerate_sets(h, level))
     assert m_value(h, level).value == _max_union(h.r, _mad_sparse_sets(h, level))
     for p in range(1, h.r):
@@ -441,9 +440,9 @@ def test_independent_and_degenerate_subsets():
     assert beta(complete(4, 2), 1) == 2
     assert beta(complete(4, 2), 2) == 3
     assert beta(complete(4, 2), 3) == 4
-    assert alpha2(_cycle(5)) == 4
-    assert alpha2(complete(5, 2)) == 2
-    assert alpha2(complete_multipartite((3, 3))) == 6
+    assert m_value(_cycle(5), 0).value == 4
+    assert m_value(complete(5, 2), 0).value == 2
+    assert m_value(complete_multipartite((3, 3)), 0).value == 6
     assert hit_triangles(complete(4, 2)) == 2
     assert hit_triangles(complete(5, 2)) == 3
     assert hit_triangles(_cycle(5)) == 0
@@ -472,7 +471,7 @@ def test_two_independent_parts_equal_m_at_level_zero():
     for _ in range(20):
         n = rng.randint(2, 8)
         g = random_hypergraph(n, 2, rng.randint(0, min(12, comb(n, 2))), seed=rng.randrange(10**6))
-        assert alpha2(g) == m_value(g, 0).value == _max_union(2, _independent_sets(g))
+        assert m_value(g, 0).value == _max_union(2, _independent_sets(g))
 
 
 def test_m_value_known_instances():

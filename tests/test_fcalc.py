@@ -30,7 +30,6 @@ from hyperf import (
     f_value,
     f_via_m,
     find_tset,
-    get_known_threshold,
     greedy_packing,
     m_value,
     packing_bound,
@@ -225,9 +224,7 @@ def test_f_threshold_brute_scans_past_five(r, p, k, n_max):
 
 
 def test_known_threshold_table():
-    assert get_known_threshold(3, 2, 1) == (17, "recorded")
-    assert get_known_threshold(4, 3, 1) == (15202, "recorded-upper")
-    assert get_known_threshold(9, 9, 9) is None
+    assert hyperf.fcalc.KNOWN_THRESHOLDS == {(3, 2, 1): (17, "recorded"), (4, 3, 1): (15202, "recorded-upper")}
 
 
 def test_tset_threshold_q():

@@ -4,8 +4,9 @@ and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
 encoder, the verify suites share one harness, one helper checks a level
 k, one function in cli.py writes stdout, ramsey.f_value alone chooses a
-route for f, no search enumerates all C(n,p) p-sets, and the Hypergraph
-constructor alone checks and sorts edges."""
+route for f, no search enumerates all C(n,p) p-sets, the Hypergraph
+constructor alone checks and sorts edges, and every library name and
+traced method that perfbench refers to exists."""
 
 import ast
 import importlib
@@ -305,3 +306,26 @@ def test_one_edge_canonicaliser():
         or isinstance(node, ast.Match) and names_family(node.subject)
     ]
     assert by_name == []
+
+
+def test_perfbench_library_references_resolve():
+    # perfbench is outside these tests' paths, so a deleted name it calls would
+    # first show when the benchmark runs; its files are read, never imported
+    bench = SRC.parent.parent / "perfbench"
+    modules = ("hypercore", "extremal", "fcalc", "orient", "ramsey", "verify")
+    missing = []
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and not hasattr(importlib.import_module(f"hyperf.{node.value.id}"), node.attr)):
+                missing.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    tracer = ast.parse((bench / "tracer.py").read_text(encoding="utf-8"))
+    methods = next(ast.literal_eval(node.value) for node in tracer.body if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] == ["METHODS"])
+    assert methods
+    for module, cls, method, _ in methods:
+        if method not in vars(getattr(importlib.import_module(f"hyperf.{module}"), cls)):
+            missing.append(f"tracer.py: METHODS {module}.{cls}.{method}")
+    assert missing == []

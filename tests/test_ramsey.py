@@ -40,8 +40,14 @@ def test_pset_coloring_validation():
         PSetColoring(1, 2, {(0, 1): 0})
     with pytest.raises(BadPSet):
         PSetColoring(2, 3, {(1, 0): 0})
+    with pytest.raises(BadPSet):
+        PSetColoring(1, 2, {5: 0})
+    with pytest.raises(BadPSet):
+        PSetColoring(1, 2, {(1.5,): 0})
     with pytest.raises(BadParams):
         PSetColoring(1, 2, {(0,): 2})
+    with pytest.raises(BadParams):
+        PSetColoring(1, 2, {(0,): "x"})
 
 
 def test_check_mono_triangle():
