@@ -349,16 +349,27 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
     At incumbent n - 1 no vertex may stay out, which leaves a search for q
     independent sets covering V, i.e. a q-coloring.  greedy seeds the
     incumbent with first-fit passes in search, reversed and index order.
-    A union of all n vertices ends the search.  Returns the size (the
-    incumbent, with empty parts, if nothing beats it), the parts as
-    ascending vertex tuples and the nodes expanded; BudgetExceeded after
-    `budget` nodes carries the incumbent size.
+    A union of all n vertices ends the search.
+
+    The t vertices in no edge are left out of the search: they sort last,
+    part 0 takes each of them, and none changes whether another vertex
+    fits.  So the search runs over the others from incumbent - t, and t
+    is added back: to the size, to part 0 of a recorded union and to a
+    budget exit's incumbent.  A node is thus counted only over vertices
+    that lie in an edge.  Returns the size (the incumbent, with empty
+    parts, if nothing beats it), the parts as ascending vertex tuples and
+    the nodes expanded; BudgetExceeded after `budget` nodes carries the
+    incumbent size.
     """
-    n, r = h.n, h.r
+    r = h.r
     degs = h.degrees()
-    order = sorted(range(n), key=lambda v: (-degs[v], v))
-    closers: list[list[int]] = [[] for _ in range(n)]
-    reach = [0] * n
+    active = sorted(set().union(*h.edges))
+    free = h.n - len(active)
+    # a stable sort keeps ascending index among equal degrees
+    order = sorted(active, key=degs.__getitem__, reverse=True)
+    n = len(order)  # the search depth
+    closers: list[list[int]] = [[] for _ in range(h.n)]
+    reach = [0] * h.n
     for edge in h.edges:
         mask = _mask(edge)
         for v in edge:
@@ -393,9 +404,9 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
                 return -1
             return grown
 
-    best, best_parts = incumbent, [0] * q
+    best, best_parts = incumbent - free, [0] * q
     if greedy:
-        for seq in (order, order[::-1], range(n)):
+        for seq in (order, order[::-1], active):
             parts, aux = [0] * q, [0] * q
             for v in seq:
                 for j in range(q):
@@ -423,7 +434,7 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
         if j == 0:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best)
+                raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best + free)
             if i == n and used > best:
                 best, best_parts = used, parts[:]
                 if best == n:
@@ -463,7 +474,10 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
         else:
             break
 
-    return best, tuple(_members(part) for part in best_parts), nodes
+    found = [_members(part) for part in best_parts]
+    if best > incumbent - free:
+        found[0] = tuple(sorted(set(range(h.n)).difference(active).union(found[0])))
+    return best + free, tuple(found), nodes
 
 
 def alpha(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -559,8 +573,7 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
     _check_k(k)
     mad_ok = _hakimi_oracle(h, k) if k > 0 else None
     value, parts, _ = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)
-    covered = set(v for p in parts for v in p)
-    remainder = tuple(v for v in range(h.n) if v not in covered)
+    remainder = tuple(sorted(set(range(h.n)).difference(*parts)))
     return MValueResult(value, parts, remainder)
 
 

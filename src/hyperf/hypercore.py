@@ -199,10 +199,22 @@ def _check_pset(pset: Sequence[int], n: int, r: int) -> tuple[int, ...]:
 
 
 def _placements(orders: Iterable[Sequence[int]], r: int, p: int) -> Iterator[list[tuple[int, ...]]]:
-    """Per ordered edge, the sorted p-set at each position subset, in rank order."""
-    subsets = list(combinations(range(r), p))
-    for order in orders:
-        yield [tuple(sorted([order[i] for i in s])) for s in subsets]
+    """Per ordered edge, the sorted p-set at each position subset, in rank order.
+
+    At p = 1 rank i is position i.  At p = r-1 rank i leaves out position
+    r-1-i, so its p-set is the sorted edge without the vertex there.
+    """
+    if p == 1:
+        for order in orders:
+            yield [(v,) for v in order]
+    elif p == r - 1:
+        for order in orders:
+            edge = tuple(sorted(order))
+            yield [edge[:j] + edge[j + 1:] for j in map(edge.index, reversed(order))]
+    else:
+        subsets = list(combinations(range(r), p))
+        for order in orders:
+            yield [tuple(sorted([order[i] for i in s])) for s in subsets]
 
 
 def _touched_psets(h: Hypergraph, p: int) -> list[tuple[int, ...]]:

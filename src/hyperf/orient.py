@@ -12,6 +12,7 @@ the obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .hypercore import (
@@ -151,25 +152,28 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
     if len(parts) > h.r:
         raise BadParams(f"at most r={h.r} parts allowed, got {len(parts)}")
     psets = [sorted(set(part)) for part in parts]
-    part_of: dict[int, int] = {}
-    for i, part in enumerate(psets):
-        for v in part:
-            if not isinstance(v, int) or not (0 <= v < h.n):
-                raise BadParams(f"part vertex {v} out of range")
-            if v in part_of:
-                raise PartsNotDisjoint(f"vertex {v} is in two parts")
-            part_of[v] = i
+    part_of = {v: i for i, part in enumerate(psets) for v in part}
+    if (len(part_of) < sum(map(len, psets))
+            or not all(issubclass(t, int) for t in set(map(type, part_of)))
+            or any(part[0] < 0 or part[-1] >= h.n for part in psets if part)):
+        seen = set()  # the first offending vertex in part order names the error
+        for part in psets:
+            for v in part:
+                if not isinstance(v, int) or not (0 <= v < h.n):
+                    raise BadParams(f"part vertex {v} out of range")
+                if v in seen:
+                    raise PartsNotDisjoint(f"vertex {v} is in two parts")
+                seen.add(v)
 
-    # the part an edge lies inside, or -1
-    inside = []
-    for edge in h.edges:
-        i = part_of.get(edge[0], -1)
-        inside.append(i if all(part_of.get(v) == i for v in edge) else -1)
+    # per edge the part each vertex is in, or -1; the part an edge lies inside, or -1
+    get, unplaced = part_of.get, (-1,) * h.r
+    patterns = [tuple(map(get, edge, unplaced)) for edge in h.edges]
+    inside = [bar[0] if bar.count(bar[0]) == h.r else -1 for bar in patterns]
     internal = [ei for ei, i in enumerate(inside) if i >= 0]
     # a reorientation path from an edge inside part i stays in part i, so
     # one pass over all parts gives each part its own owners and dead set
     owner = [edge[0] for edge in h.edges]
-    dead = _reorient(h.edges, internal, [k - 1] * h.n, owner)
+    dead = _reorient(h.edges, internal, [k - 1] * h.n, owner) if internal else ()
     if dead:
         i = min(part_of[v] for v in dead)
         raise PartNotSparse(
@@ -177,9 +181,9 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
             f"dense subset {tuple(sorted(v for v in dead if part_of[v] == i))}"
         )
     orders = []
-    for edge, i, first in zip(h.edges, inside, owner):
+    for edge, bar, i, first in zip(h.edges, patterns, inside, owner):
         if i < 0:
-            orders.append(_lowest_order(edge, part_of))
+            orders.append(tuple([edge[j] for j in _pattern_order(bar)]))
         else:
             base = (first,) + tuple(v for v in edge if v != first)
             orders.append(tuple(base[(j - i) % h.r] for j in range(h.r)))
@@ -198,23 +202,38 @@ def _lowest_order(edge, bar) -> tuple[int, ...] | None:
     stands at position bar[v] (a vertex missing from bar stands anywhere),
     or None when there is none.
 
-    Each vertex bars at most one position, so the unused vertices fit the
-    unfilled positions unless all of them are barred from one same later
-    position; position j takes the lowest allowed vertex that avoids that.
-    Only an edge whose vertices all bar one position has no ordering.
+    The answer depends only on the edge's pattern, the position each of
+    its vertices is barred from (-1 for none), so it is read from the
+    pattern table `_pattern_order` and mapped back to the edge's vertices.
     """
-    left = list(edge)
+    picks = _pattern_order(tuple([bar.get(v, -1) for v in edge]))
+    return None if picks is None else tuple([edge[j] for j in picks])
+
+
+@lru_cache(maxsize=1 << 14)
+def _pattern_order(bar: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The pattern table: for the pattern bar (index i barred from position
+    bar[i], or -1), the first ordering of the indices that puts no index
+    at its barred position, or None.  It fills as patterns are met; 2**14
+    entries hold all (r+1)**r patterns for every r up to 5.
+
+    Each index bars at most one position, so the unused indices fit the
+    unfilled positions unless all of them are barred from one same later
+    position; position j takes the lowest allowed index that avoids that.
+    Only a pattern barring every index from one position has no ordering.
+    """
+    left = list(range(len(bar)))
     order = []
-    for j in range(len(edge)):
-        for v in left:
-            barred = {bar.get(u, -1) for u in left if u != v}
+    for j in range(len(bar)):
+        for i in left:
+            barred = {bar[u] for u in left if u != i}
             stalls = len(barred) == 1 and max(barred) > j
-            if bar.get(v) != j and not stalls:
+            if bar[i] != j and not stalls:
                 break
         else:
             return None
-        order.append(v)
-        left.remove(v)
+        order.append(i)
+        left.remove(i)
     return tuple(order)
 
 

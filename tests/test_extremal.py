@@ -423,10 +423,66 @@ def test_blocked_masks_keep_witnesses_and_never_add_nodes():
                                      extremal._hakimi_oracle(h, cap) if hakimi else None,
                                      greedy, incumbent)
         assert got[:2] == (size, tuple(extremal._members(part) for part in parts))
-        # only cap 0 keeps blocked masks; above it the search is unchanged
-        assert got[2] <= nodes if cap == 0 else got[2] == nodes
+        # only cap 0 keeps blocked masks, and only vertices in some edge are
+        # searched; above cap 0 with every vertex in an edge the search is unchanged
+        if cap and min(h.degrees()) > 0:
+            assert got[2] == nodes
+        else:
+            assert got[2] <= nodes
         fewer += got[2] < nodes
     assert fewer >= 100
+
+
+def _embed(h, t, rng):
+    """h with t vertices in no edge added at random labels, h's own
+    vertices keeping their order; returns it and the new label of each
+    old vertex."""
+    label = sorted(rng.sample(range(h.n + t), h.n))
+    edges = [tuple(label[v] for v in edge) for edge in h.edges]
+    return canonicalize(edges, h.n + t, h.r), label
+
+
+def test_vertices_in_no_edge_are_added_to_part_zero_without_search():
+    rng = random.Random(17)
+    for _ in range(150):
+        r = rng.randint(2, 4)
+        n = rng.randint(r, 9)
+        h = random_hypergraph(n, r, rng.randint(0, comb(n, r)), seed=rng.randrange(10**6))
+        t = rng.randint(1, 6)
+        wide, label = _embed(h, t, rng)
+        added = set(range(wide.n)) - set(label)
+
+        def mapped(parts):
+            return tuple(tuple(sorted({label[v] for v in part} | (added if j == 0 else set())))
+                         for j, part in enumerate(parts))
+
+        def degenerate(g, d):
+            return lambda part: extremal._peel(g, extremal._members(part))[0] <= d
+
+        # the configurations the library runs: cap 0 (colorings, alpha, b, M(H,0)),
+        # Hakimi's test (M(H,k)) and the degeneracy test (beta)
+        runs = [(q, 0, None, greedy, incumbent) for q in (1, 2, 3)
+                for greedy in (False, True) for incumbent in (0, 1)]
+        runs += [(r, cap, extremal._hakimi_oracle, True, 0) for cap in (1, 2)]
+        runs += [(1, d, degenerate, False, 0) for d in (1, 2)]
+        for q, cap, test, greedy, top in runs:
+            size, parts, nodes = extremal._sparse_parts(
+                h, q, cap, 10**6, "test search", test and test(h, cap), greedy, top * (h.n - 1))
+            got = extremal._sparse_parts(
+                wide, q, cap, 10**6, "test search", test and test(wide, cap), greedy, top * (wide.n - 1))
+            if size > top * (h.n - 1):
+                assert got == (size + t, mapped(parts), nodes), (h, t, q, cap)
+            else:  # nothing beat the incumbent, which still counts the added vertices
+                assert got == (size + t, parts, nodes), (h, t, q, cap)
+
+        for k in range(3):
+            res, wide_res = m_value(h, k), m_value(wide, k)
+            assert (wide_res.value, wide_res.parts) == (res.value + t, mapped(res.parts))
+            assert wide_res.remainder == tuple(label[v] for v in res.remainder)
+        assert alpha(wide) == alpha(h) + t
+        assert chromatic_exact(wide) == chromatic_exact(h)
+        if r == 2:
+            assert hit_triangles(wide) == hit_triangles(h)
 
 
 def test_chromatic_search_is_not_bound_by_recursion_depth():

@@ -4,7 +4,7 @@ import inspect
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -66,7 +66,7 @@ from hyperf import (
     verify_suite,
     write_path,
 )
-from hyperf.hypercore import DEFAULT_NODE_BUDGET
+from hyperf.hypercore import DEFAULT_NODE_BUDGET, _placements
 
 
 def test_canonicalize_sorts_edges_and_vertices():
@@ -158,6 +158,17 @@ def test_degree_vector_pair_in_triple_system():
     assert dv.pset == (0, 1)
     assert tuple(dv.coords) == (2, 0, 0)
     assert max_coordinate(d, 0) >= 1
+
+
+def test_placements_match_the_general_formula():
+    # p = 1 and p = r-1 take their own paths; every p must give the sorted
+    # p-set at each position subset, in rank order
+    for r in range(2, 7):
+        orders = list(permutations((2, 5, 7, 11, 13, 17)[:r]))
+        for p in range(1, r):
+            subsets = list(combinations(range(r), p))
+            want = [[tuple(sorted(order[i] for i in s)) for s in subsets] for order in orders]
+            assert list(_placements(orders, r, p)) == want, (r, p)
 
 
 def test_degree_vector_rejects_a_non_integer_vertex():

@@ -29,6 +29,7 @@ from hyperf import (
     orient_max_outdeg,
     random_hypergraph,
 )
+from hyperf.orient import _lowest_order
 
 
 def _first_position_degrees(d):
@@ -202,6 +203,20 @@ def test_partition_crossing_edges_match_permutation_scan():
             parts = [[v for v in edge if labels[v] == i] for i in range(r)]
             d = orient_from_partition(h, 1, parts)
             assert d.orders == (_first_admissible(edge, parts),), labels
+
+
+def test_lowest_order_pattern_table_matches_permutation_scan():
+    # every bar pattern at r = 2..5, (r+1)**r of them: -1 bars no position
+    seen = 0
+    for r in range(2, 6):
+        edge = (3, 4, 8, 9, 12)[:r]
+        for pattern in product(range(-1, r), repeat=r):
+            bar = {v: j for v, j in zip(edge, pattern) if j >= 0}
+            want = next((cand for cand in permutations(edge)
+                         if all(bar.get(v) != j for j, v in enumerate(cand))), None)
+            assert _lowest_order(edge, bar) == want, pattern
+            seen += 1
+    assert seen == 8474
 
 
 def test_forbidden_coordinates_vertex_case():
