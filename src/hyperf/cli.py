@@ -23,6 +23,9 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     Orientation,
+    _check_count,
+    _content_lines,
+    _read_text,
     generate,
     read_path,
     to_json,
@@ -156,9 +159,8 @@ def _resolve_budget(args) -> int:
         try:
             budget = int(env)
         except ValueError:
-            raise _UsageError(f"hyperf: HYPERF_BUDGET must be an integer, got {env!r}")
-    if budget < 0:
-        raise _UsageError(f"hyperf: {source} must be >= 0, got {budget}")
+            budget = env  # refused below, in the same words as a negative budget
+    _check_count(source, budget, 0)
     return budget
 
 
@@ -240,24 +242,13 @@ def _cmd_orient(args, budget):
 
 
 def _read_budget_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise _UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     caps = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line in _content_lines(_read_text(path)):
         try:
-            if len(fields) != 2:
-                raise ValueError
-            v, cap = int(fields[0]), int(fields[1])
-        except ValueError:
+            v, cap = map(int, line.split())
+        except ValueError:  # a field that is not an integer, or not two fields
             raise _UsageError(
-                f"{path}:{lineno}: expected 'vertex cap', got {raw.strip()!r}")
+                f"{path}:{lineno}: expected 'vertex cap', got {line!r}")
         if v in caps:
             raise _UsageError(f"{path}:{lineno}: vertex {v} already has a cap")
         caps[v] = cap

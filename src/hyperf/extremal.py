@@ -30,8 +30,7 @@ from .hypercore import (
     BudgetExceeded,
     Hypergraph,
     HyperfError,
-    _check_budget,
-    _check_k,
+    _check_count,
 )
 from .netflow import FlowNetwork
 from .orient import _reorient
@@ -271,7 +270,7 @@ def chromatic_exact(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     budget bounds the nodes of all q together; BudgetExceeded on budget
     exhaustion carries the proven bracket.
     """
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
     if h.n == 0:
         return 0
     if h.e == 0:
@@ -482,15 +481,14 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
 
 def alpha(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Independence number: largest set containing no full edge."""
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
     return _sparse_parts(h, 1, 0, budget, "subset search")[0]
 
 
 def beta(h: Hypergraph, d: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest vertex set whose induced sub-hypergraph is d-degenerate."""
-    _check_budget(budget)
-    if d < 0:
-        raise BadParams(f"degeneracy bound must be >= 0, got {d}")
+    _check_count("budget", budget, 0)
+    _check_count("d", d, 0)
 
     def degenerate(part):
         return _peel(h, _members(part))[0] <= d
@@ -506,7 +504,7 @@ def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     hypergraph of g's triangles, found by the sparse-parts search.
     BudgetExceeded carries the smallest hitting set found as `best`.
     """
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
     if g.r != 2:
         raise BadParams("hit_triangles is defined for graphs (r=2)")
     later = [set() for _ in range(g.n)]  # the neighbours above each vertex
@@ -569,8 +567,8 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
     set, so a failed part is never extended.  At k = 0 no part spans an
     edge, so no test is built.
     """
-    _check_budget(budget)
-    _check_k(k)
+    _check_count("budget", budget, 0)
+    _check_count("k", k, 0)
     mad_ok = _hakimi_oracle(h, k) if k > 0 else None
     value, parts, _ = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)
     remainder = tuple(sorted(set(range(h.n)).difference(*parts)))
@@ -584,7 +582,7 @@ def partition_degenerate(h: Hypergraph, k: int) -> list[list[int]]:
     order backwards, each vertex has at most r(k+1)-1 edges into the
     already-placed vertices, so some part receives at most k of them.
     """
-    _check_k(k)
+    _check_count("k", k, 0)
     d, order = degeneracy(h)
     limit = h.r * (k + 1) - 1
     if d > limit:

@@ -23,9 +23,9 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     Orientation,
-    _check_budget,
-    _check_k,
+    _check_count,
     _check_p,
+    _check_sizes,
     _placements,
     _touched_psets,
     _touched_vectors,
@@ -66,7 +66,7 @@ class FReport:
 
 def f_count(d: Orientation, p: int, k: int) -> int:
     """Number of p-sets whose coordinates are all >= k under d."""
-    _check_k(k)
+    _check_count("k", k, 0)
     _check_p(p, d.base.r)
     if k == 0:
         return math.comb(d.base.n, p)
@@ -89,8 +89,8 @@ def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGE
     expanded, the smallest budget that finishes; k = 0 needs no search
     and expands none.
     """
-    _check_budget(budget)
-    _check_k(k)
+    _check_count("budget", budget, 0)
+    _check_count("k", k, 0)
     _check_p(p, h.r)
     if k == 0:
         return FReport(
@@ -163,7 +163,7 @@ def f_via_m(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport
     coordinate, so the constructed orientation attains the value exactly;
     this is re-verified before returning.
     """
-    _check_k(k, 1)
+    _check_count("k", k, 1)
     res = m_value(h, k - 1, budget)
     value = h.n - res.value
     d = orient_from_partition(h, k, res.parts)
@@ -183,8 +183,10 @@ def f_via_m(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport
 
 def closed_form(h: Hypergraph, p: int, k: int) -> FReport | None:
     """f(H,1,k) by the closed form for complete hypergraphs (e = C(n,r)) or
-    complete multipartite graphs; None if none applies, or p != 1 or k < 1."""
-    if p != 1 or k < 1:
+    complete multipartite graphs; None if none applies, or p != 1 or k = 0."""
+    _check_p(p, h.r)
+    _check_count("k", k, 0)
+    if p != 1 or k == 0:
         return None
     if h.e == math.comb(h.n, h.r):
         return FReport(value=closed_form_complete(h.n, h.r, k), method="closed")
@@ -218,8 +220,8 @@ def _multipartite_sizes(g: Hypergraph):
 
 def complete_part_size(r: int, k: int) -> int:
     """Largest t with C(t-1, r-1) <= (k-1)r; parts of this size stay sparse."""
-    if r < 2 or k < 1:
-        raise BadParams(f"need r >= 2 and k >= 1, got r={r} k={k}")
+    _check_count("r", r, 2)
+    _check_count("k", k, 1)
     cap = (k - 1) * r
     t = 1
     while math.comb(t, r - 1) <= cap:
@@ -229,8 +231,7 @@ def complete_part_size(r: int, k: int) -> int:
 
 def closed_form_complete(n: int, r: int, k: int) -> int:
     """f for the complete r-uniform hypergraph on n vertices: max(n - rt, 0)."""
-    if n < 0:
-        raise BadParams(f"n must be >= 0, got {n}")
+    _check_count("n", n, 0)
     return max(n - r * complete_part_size(r, k), 0)
 
 
@@ -244,9 +245,8 @@ class MultipartiteResult:
 def closed_form_multipartite(sizes, k: int) -> MultipartiteResult:
     """f for complete multipartite graphs: sum of the classes beyond the two
     largest, minus 2k-2, valid when the listed size conditions hold."""
-    _check_k(k, 1)
-    if not sizes or any(s <= 0 for s in sizes):
-        raise BadParams(f"class sizes must be positive, got {list(sizes)}")
+    _check_count("k", k, 1)
+    _check_sizes(sizes)
     ns = sorted(sizes, reverse=True)
     t = len(ns)
     failed = []
@@ -286,7 +286,7 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
     Bounds whose hypotheses fail, whose searches blow the budget, or which
     f >= 0 makes vacuous are listed as inapplicable with the reason.
     """
-    _check_k(k, 1)
+    _check_count("k", k, 1)
     n, r = h.n, h.r
     out = []
 
@@ -370,8 +370,9 @@ def edge_bound(n: int, r: int, k: int) -> EdgeBound:
     not divide n, and capped at C(n,r) (flagged) when the formula exceeds
     the trivial maximum.
     """
-    if n < 0 or r < 2 or k < 1:
-        raise BadParams(f"need n >= 0, r >= 2, k >= 1, got n={n} r={r} k={k}")
+    _check_count("n", n, 0)
+    _check_count("r", r, 2)
+    _check_count("k", k, 1)
     total = math.comb(n, r)
     base = total - r * math.comb(n // r, r) + (k - 1) * n
     return EdgeBound(min(base, total), base > total, n % r == 0)
@@ -401,8 +402,9 @@ class ThresholdResult:
 def tset_threshold_q(r: int, p: int, k: int) -> int:
     """Smallest q with (k-1)C(q,p) < C(q,r): guarantees a large all-deficient
     family cannot color every p-set of a q-set away from a full coordinate."""
-    if not (1 <= p <= r - 1) or k < 1:
-        raise BadParams(f"need 1 <= p <= r-1 and k >= 1, got r={r} p={p} k={k}")
+    _check_count("r", r, 2)
+    _check_p(p, r)
+    _check_count("k", k, 1)
     q = r
     while not ((k - 1) * math.comb(q, p) < math.comb(q, r)):
         q += 1
@@ -411,16 +413,16 @@ def tset_threshold_q(r: int, p: int, k: int) -> int:
 
 def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE_BUDGET):
     """Lexicographically first t-set whose p-subsets are all everywhere-full
-    at level k, or None when no such t-set exists.  At k <= 0 every p-set is
+    at level k, or None when no such t-set exists.  At k = 0 every p-set is
     full; otherwise only p-sets inside some edge can be."""
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
     h = d.base
-    if t < 0:
-        raise BadParams(f"t must be >= 0, got {t}")
+    _check_count("t", t, 0)
     _check_p(p, h.r)
+    _check_count("k", k, 0)
     if t > h.n:
         return None
-    if t < p or k <= 0:
+    if t < p or k == 0:
         return tuple(range(t))
     good = {a for a, coords in _touched_vectors(d, p).items() if min(coords) >= k}
     if p == 1:
@@ -464,16 +466,20 @@ def greedy_packing(n: int, m: int, p: int,
     p-subsets appears in an earlier accepted block.
 
     At p = 1 the accepted blocks are the floor(n/m) runs of m consecutive
-    vertices, returned without a scan.  Otherwise the scan visits blocks in
-    lexicographic order; BudgetExceeded after `budget` blocks carries the
-    number accepted so far as `best`.
+    vertices, returned without a scan, and each counts against the budget:
+    more than `budget` of them raise BudgetExceeded with `best` = budget.
+    Otherwise the scan visits blocks in lexicographic order; BudgetExceeded
+    after `budget` blocks carries the number accepted so far as `best`.
     """
-    _check_budget(budget)
-    if not (1 <= p <= m):
-        raise BadParams(f"need 1 <= p <= m, got p={p} m={m}")
-    if n < 0:
-        raise BadParams(f"n must be >= 0, got {n}")
+    _check_count("budget", budget, 0)
+    _check_count("n", n, 0)
+    _check_count("m", m, 1)
+    _check_count("p", p, 1)
+    if p > m:
+        raise BadParams(f"need p <= m, got p={p} m={m}")
     if p == 1:
+        if n // m > budget:
+            raise BudgetExceeded(f"packing scan exceeded {budget} blocks", best=budget)
         return [tuple(range(start, start + m)) for start in range(0, n - m + 1, m)]
     used = set()
     blocks = []
@@ -493,7 +499,10 @@ def packing_bound(n: int, r: int, p: int, k: int, m: int | None = None,
     m-sets, m = f(r,p,k), must contain an everywhere-full p-set, and blocks
     share none.  m is resolved from the closed form (p=1) or the recorded
     exact table unless given; `budget` bounds greedy_packing's scan."""
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
+    _check_count("r", r, 2)
+    _check_p(p, r)
+    _check_count("k", k, 1)
     if m is None:
         if p == 1:
             m = r * complete_part_size(r, k) + 1

@@ -72,20 +72,25 @@ class BudgetExceeded(HyperfError):
 DEFAULT_NODE_BUDGET = 10**7
 
 
-def _check_budget(budget: int):
-    """Every public search, or the first search it calls, checks its budget here first."""
-    if budget < 0:
-        raise BadParams(f"budget must be >= 0, got {budget}")
+def _check_count(name: str, value, least: int, error: type[HyperfError] = BadParams):
+    """The one rule for a count argument (n, r, p, k, t, d, m, a class size,
+    a cap, a budget): an integer no smaller than `least`.  Every public
+    search, or the first search it calls, checks its budget here first."""
+    if not isinstance(value, int) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_p(p: int, r: int):
-    if not (1 <= p <= r - 1):
-        raise BadPSet(f"need 1 <= p <= r-1, got p={p}")
+    _check_count("p", p, 1, BadPSet)
+    if p > r - 1:
+        raise BadPSet(f"need p <= r-1 = {r - 1}, got p={p}")
 
 
-def _check_k(k: int, least: int = 0):
-    if k < least:
-        raise BadParams(f"k must be >= {least}, got {k}")
+def _check_sizes(sizes: Sequence[int]):
+    """The class sizes of a complete multipartite graph: at least one, each >= 1."""
+    _check_count("number of classes", len(sizes), 1)
+    for size in sizes:
+        _check_count("class size", size, 1)
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,8 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.r < 2:
-            raise BadParams(f"need n >= 0 and r >= 2, got n={self.n} r={self.r}")
+        _check_count("n", self.n, 0)
+        _check_count("r", self.r, 2)
         edges = []
         for raw in self.edges:
             _check_edge(raw, self.n, self.r)
@@ -129,7 +134,11 @@ class Hypergraph:
 
 
 def _check_edge(e: Sequence[int], n: int, r: int):
-    if len(e) != r:
+    try:
+        size = len(e)
+    except TypeError:
+        raise BadParams(f"edge {e!r} is not a sequence of vertices") from None
+    if size != r:
         raise BadParams(f"edge {tuple(e)} does not have {r} vertices")
     for v in e:
         if not isinstance(v, int) or not (0 <= v < n):
@@ -155,8 +164,12 @@ class Orientation:
         if len(self.orders) != self.base.e:
             raise BadParams("one order per edge required")
         for edge, order in zip(self.base.edges, self.orders):
-            if tuple(sorted(order)) != edge:
-                raise BadParams(f"order {order} is not a permutation of edge {edge}")
+            try:
+                if tuple(sorted(order)) == edge:
+                    continue
+            except TypeError:  # a vertex that does not compare with integers
+                pass
+            raise BadParams(f"order {order} is not a permutation of edge {edge}")
 
 
 def ascending_orientation(h: Hypergraph) -> Orientation:
@@ -272,15 +285,14 @@ def max_coordinate(d: Orientation, i: int) -> int:
 
 def complete(n: int, r: int) -> Hypergraph:
     """All C(n,r) edges on n vertices."""
-    # the constructor checks n and r before it reads an edge; combinations
-    # itself would raise on r < 0
-    return Hypergraph(n, r, combinations(range(n), r) if r >= 0 else ())
+    _check_count("n", n, 0)  # before range(n) and combinations read them
+    _check_count("r", r, 2)
+    return Hypergraph(n, r, combinations(range(n), r))
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Hypergraph:
     """Complete multipartite graph; classes are consecutive vertex ranges."""
-    if not sizes or any(s <= 0 for s in sizes):
-        raise BadParams(f"class sizes must be positive, got {list(sizes)}")
+    _check_sizes(sizes)
     n = sum(sizes)
     bounds = []
     start = 0
@@ -298,8 +310,7 @@ def complete_multipartite(sizes: Sequence[int]) -> Hypergraph:
 
 def mop_fan(n: int) -> Hypergraph:
     """Fan maximal outerplanar graph: cycle 0..n-1 plus all chords from 0."""
-    if n < 3:
-        raise BadParams(f"maximal outerplanar graphs need n >= 3, got {n}")
+    _check_count("n", n, 3)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     edges += [(0, i) for i in range(2, n - 1)]
     return canonicalize(edges, n, 2)
@@ -307,8 +318,7 @@ def mop_fan(n: int) -> Hypergraph:
 
 def mop_random(n: int, seed: int) -> Hypergraph:
     """Random maximal outerplanar graph: seeded triangulation of an n-cycle."""
-    if n < 3:
-        raise BadParams(f"maximal outerplanar graphs need n >= 3, got {n}")
+    _check_count("n", n, 3)
     rng = random.Random(seed)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 
@@ -349,11 +359,12 @@ def complement(g: Hypergraph) -> Hypergraph:
 
 def random_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph:
     """m distinct edges drawn uniformly from the C(n,r) possibilities, seeded."""
-    if r < 2 or n < r:
-        raise BadParams(f"need n >= r >= 2, got n={n} r={r}")
+    _check_count("r", r, 2)
+    _check_count("n", n, r)
+    _check_count("m", m, 0)
     total = math.comb(n, r)
-    if not (0 <= m <= total):
-        raise BadParams(f"need 0 <= m <= C({n},{r}) = {total}, got m={m}")
+    if m > total:
+        raise BadParams(f"need m <= C({n},{r}) = {total}, got m={m}")
     rng = random.Random(seed)
     edges = []
     # each pick ranks an r-subset in lexicographic order; unrank it vertex by
@@ -443,12 +454,14 @@ def _jsonable(obj):
     return obj
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """The numbered non-blank lines of a text, each without its '#' comment."""
+    stripped = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1))
+    return [(no, line) for no, line in stripped if line]
+
+
 def from_text(text: str) -> Hypergraph | Orientation:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [line for _, line in _content_lines(text)]
     if not lines:
         raise FormatError("empty input")
     header = lines[0].split()
@@ -487,13 +500,17 @@ def orientation_from_rows(rows: Iterable[Sequence[int]], n: int, r: int) -> Orie
     return Orientation(base, tuple(row for _, row in keyed))
 
 
-def read_path(path) -> Hypergraph | Orientation:
+def _read_text(path) -> str:
+    """A UTF-8 text file's contents; FormatError when it is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return from_text(text)
+
+
+def read_path(path) -> Hypergraph | Orientation:
+    return from_text(_read_text(path))
 
 
 def write_path(obj: Hypergraph | Orientation, path):

@@ -21,7 +21,8 @@ from .hypercore import (
     Hypergraph,
     HyperfError,
     Orientation,
-    _check_k,
+    _check_count,
+    _check_p,
     _check_pset,
 )
 
@@ -116,15 +117,15 @@ def orient_budget(h: Hypergraph, budget: Mapping[int, int]) -> Orientation | Inf
         raise BudgetDomainMismatch(
             f"budget domain must be 0..{h.n - 1}, got {sorted(budget)}"
         )
-    for v, cap in budget.items():
-        if cap < 0:
-            raise BadParams(f"negative cap {cap} for vertex {v}")
+    caps = [budget[v] for v in range(h.n)]
+    for v, cap in enumerate(caps):
+        _check_count(f"budget[{v}]", cap, 0)
     owner = [edge[0] for edge in h.edges]
-    dead = _reorient(h.edges, range(h.e), [budget[v] for v in range(h.n)], owner)
+    dead = _reorient(h.edges, range(h.e), caps, owner)
     if dead:
         witness = tuple(sorted(dead))
         inside = len(h.edges_inside(witness))
-        cap = sum(budget[v] for v in witness)
+        cap = sum(caps[v] for v in witness)
         assert inside > cap, "a dead set must violate the capacity condition"
         return Infeasible(witness, inside, cap)
     orders = [(v,) + tuple(u for u in edge if u != v) for v, edge in zip(owner, h.edges)]
@@ -133,7 +134,7 @@ def orient_budget(h: Hypergraph, budget: Mapping[int, int]) -> Orientation | Inf
 
 def orient_max_outdeg(h: Hypergraph, k: int) -> Orientation | Infeasible:
     """Orientation with every position-0 degree at most k, if one exists."""
-    _check_k(k)
+    _check_count("k", k, 0)
     return orient_budget(h, {v: k for v in range(h.n)})
 
 
@@ -148,14 +149,14 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
     lowest-index rule of orient_forbidden), which is ascending for an edge
     meeting no part.  The result has deg_i(v) <= k-1 for all v in part i.
     """
-    _check_k(k, 1)
+    _check_count("k", k, 1)
     if len(parts) > h.r:
         raise BadParams(f"at most r={h.r} parts allowed, got {len(parts)}")
-    psets = [sorted(set(part)) for part in parts]
+    psets = [list(dict.fromkeys(part)) for part in parts]  # each part read once
     part_of = {v: i for i, part in enumerate(psets) for v in part}
     if (len(part_of) < sum(map(len, psets))
             or not all(issubclass(t, int) for t in set(map(type, part_of)))
-            or any(part[0] < 0 or part[-1] >= h.n for part in psets if part)):
+            or any(min(part) < 0 or max(part) >= h.n for part in psets if part)):
         seen = set()  # the first offending vertex in part order names the error
         for part in psets:
             for v in part:
@@ -195,19 +196,6 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
                 load[v] += 1
     assert max(load, default=0) <= k - 1, "partition orientation must bound its coordinate"
     return Orientation(h, tuple(orders))
-
-
-def _lowest_order(edge, bar) -> tuple[int, ...] | None:
-    """Lexicographically first ordering of an edge in which no vertex v
-    stands at position bar[v] (a vertex missing from bar stands anywhere),
-    or None when there is none.
-
-    The answer depends only on the edge's pattern, the position each of
-    its vertices is barred from (-1 for none), so it is read from the
-    pattern table `_pattern_order` and mapped back to the edge's vertices.
-    """
-    picks = _pattern_order(tuple([bar.get(v, -1) for v in edge]))
-    return None if picks is None else tuple([edge[j] for j in picks])
 
 
 @lru_cache(maxsize=1 << 14)
@@ -251,6 +239,7 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
     StuckEdge.  Every key must be a sorted p-set of h's vertices (BadPSet
     otherwise); only the keys inside some edge are read.
     """
+    _check_p(p, h.r)
     if p not in (1, h.r - 1):
         raise BadPSet(f"forbidden-coordinate orientations need p in {{1, r-1}}, got {p}")
     colored: Mapping = getattr(coloring, "colored", coloring)
@@ -262,13 +251,14 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
             raise BadParams(f"color {c} of {pset} outside 0..{h.r - 1}")
     orders = []
     for edge in h.edges:
+        # the edge's pattern: the position each vertex is barred from, or -1
         if p == 1:
-            bar = {v: colored[(v,)] for v in edge if (v,) in colored}
+            bar = tuple([colored.get((v,), -1) for v in edge])
         else:
-            rest = {v: tuple(u for u in edge if u != v) for v in edge}
-            bar = {v: h.r - 1 - colored[a] for v, a in rest.items() if a in colored}
-        order = _lowest_order(edge, bar)
-        if order is None:
+            rests = (edge[:i] + edge[i + 1:] for i in range(h.r))
+            bar = tuple([h.r - 1 - colored[a] if a in colored else -1 for a in rests])
+        picks = _pattern_order(bar)
+        if picks is None:
             raise StuckEdge(edge)
-        orders.append(order)
+        orders.append(tuple([edge[j] for j in picks]))
     return Orientation(h, tuple(orders))

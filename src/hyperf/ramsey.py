@@ -22,7 +22,7 @@ from .hypercore import (
     BadPSet,
     BudgetExceeded,
     Hypergraph,
-    _check_budget,
+    _check_count,
     _check_p,
     _touched_psets,
     canonicalize,
@@ -50,6 +50,8 @@ class PSetColoring:
     colored: dict
 
     def __post_init__(self):
+        _check_count("p", self.p, 1, BadPSet)
+        _check_count("colors", self.colors, 1)
         for pset, c in self.colored.items():
             if not (isinstance(pset, tuple) and len(pset) == self.p
                     and all(isinstance(v, int) for v in pset) and list(pset) == sorted(set(pset))):
@@ -83,7 +85,7 @@ def derived_pset_hypergraph(h: Hypergraph, p: int) -> Hypergraph:
 
 def chi_r(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Fewest colors on all p-sets leaving no edge p-monochromatic."""
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
     _check_p(p, h.r)
     if h.e == 0:
         return 1
@@ -107,7 +109,7 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     The p-sets inside no edge add to the value and to a budget exit's
     `best`, and the witness colors them 0.
     """
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
     derived = derived_pset_hypergraph(h, p)
     untouched = math.comb(h.n, p) - derived.n
     try:
@@ -131,9 +133,11 @@ def f_value(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGET,
 
     "auto" tries the closed form, then via-m at p = 1 and k >= 1, then via-b
     at k = 1 and p = r-1, else brute.  via-m needs p = 1 and via-b k = 1."""
-    _check_budget(budget)
+    _check_count("budget", budget, 0)
     if method not in F_METHODS:
         raise BadParams(f"unknown f method {method!r}, expected one of {', '.join(F_METHODS)}")
+    _check_p(p, h.r)
+    _check_count("k", k, 0)
     if method in ("auto", "closed"):
         rep = closed_form(h, p, k)
         if rep is not None or method == "closed":
@@ -159,9 +163,11 @@ def f_threshold(r: int, p: int, k: int, n_max: int, budget: int = DEFAULT_NODE_B
     is skipped).  `budget` bounds each n's search on its own; an n that
     runs out is skipped and reported, voiding "not found up to n_max".
     """
-    _check_budget(budget)
-    if not (1 <= p <= r - 1) or k < 1 or n_max < 1:
-        raise BadParams(f"bad threshold query r={r} p={p} k={k} n_max={n_max}")
+    _check_count("budget", budget, 0)
+    _check_count("r", r, 2)
+    _check_p(p, r)
+    _check_count("k", k, 1)
+    _check_count("n_max", n_max, 1)
     scanned, skipped = [], []
     method = "closed" if p == 1 else None
     for n in range(r, n_max + 1):
@@ -188,6 +194,7 @@ def f_p1_exact(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> FRep
     forces every uncolored p-set to stay everywhere-positive, so the
     certificate attains the value exactly; this is re-verified.
     """
+    _check_p(p, h.r)
     if p not in (1, h.r - 1):
         raise BadPSet(f"exact route needs p in {{1, r-1}}, got {p}")
     res = b_value(h, p, budget)

@@ -22,7 +22,7 @@ from .hypercore import (
     BadParams,
     Hypergraph,
     HyperfError,
-    _check_budget,
+    _check_count,
     canonicalize,
     complement,
     complete,
@@ -91,7 +91,7 @@ def _suite(name):
 
     def register(checks):
         def run(seed=1, budget=DEFAULT_NODE_BUDGET) -> VerifySuiteReport:
-            _check_budget(budget)
+            _check_count("budget", budget, 0)
             t0 = time.perf_counter()
             done = list(checks(seed, budget))
             seconds = round(time.perf_counter() - t0, 3)
@@ -107,9 +107,10 @@ def _suite(name):
 
 def random_corpus(count, seed, ranks=(2, 3, 4), n_max=10, e_max=12):
     """Deterministic list of small random hypergraphs used by the suites."""
-    if not ranks or n_max < max(ranks) or e_max < 0:
-        raise BadParams(f"need nonempty ranks, each <= n_max, and e_max >= 0, "
-                        f"got ranks={ranks} n_max={n_max} e_max={e_max}")
+    if not ranks:
+        raise BadParams("need at least one rank")
+    _check_count("n_max", n_max, max(ranks))
+    _check_count("e_max", e_max, 0)
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -268,6 +268,18 @@ def test_pack_honours_the_budget(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "5"
 
 
+def test_pack_and_tset_refuse_parameters_outside_their_domain(tmp_path, capsys):
+    # a bad parameter is a usage error (exit 1), not "threshold unknown" (exit 2)
+    assert main(["pack", "--n", "10", "--r", "3", "--p", "3", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "need p <= r-1 = 2, got p=3\n"
+    assert main(["pack", "--n", "10", "--r", "3", "--p", "2", "--k", "0"]) == 1
+    assert capsys.readouterr().err == "k must be an integer >= 1, got 0\n"
+    src = tmp_path / "d.hg"
+    write_path(orientation_from_rows(complete(4, 3).edges, 4, 3), src)
+    assert main(["tset", str(src), "--p", "1", "--k", "-1", "--t", "2"]) == 1
+    assert capsys.readouterr().err == "k must be an integer >= 0, got -1\n"
+
+
 def test_missing_file_is_exit_one(capsys):
     assert main(["mad", "definitely-not-here.hg"]) == 1
 
@@ -303,7 +315,7 @@ def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
     src = tmp_path / "k5.hg"
     write_path(complete(5, 3), src)
     assert main(["b", str(src), "--p", "2", "--budget", "-5"]) == 1
-    assert "--budget must be >= 0, got -5" in capsys.readouterr().err
+    assert "--budget must be an integer >= 0, got -5" in capsys.readouterr().err
 
 
 def test_negative_budget_env_var_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -311,7 +323,7 @@ def test_negative_budget_env_var_is_a_usage_error(tmp_path, capsys, monkeypatch)
     write_path(complete(5, 3), src)
     monkeypatch.setenv("HYPERF_BUDGET", "-1")
     assert main(["chi-r", str(src), "--p", "2"]) == 1
-    assert "HYPERF_BUDGET must be >= 0, got -1" in capsys.readouterr().err
+    assert "HYPERF_BUDGET must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_gen_json_output(capsys):

@@ -250,11 +250,13 @@ def test_find_tset_stops_at_its_budget():
 
 
 def test_find_tset_at_level_zero_takes_the_first_t_vertices():
-    # every p-set is full at k <= 0; a search this deep overflowed the stack
+    # every p-set is full at k = 0; a search this deep overflowed the stack
     d = ascending_orientation(Hypergraph(1200, 3, ((0, 1, 2),)))
     assert find_tset(d, 2, 0, 1100) == tuple(range(1100))
-    assert find_tset(d, 1, -1, 1200) == tuple(range(1200))
+    assert find_tset(d, 1, 0, 1200) == tuple(range(1200))
     assert find_tset(d, 2, 0, 1201) is None
+    with pytest.raises(BadParams, match="k must be an integer >= 0, got -1"):
+        find_tset(d, 1, -1, 1200)
 
 
 def test_find_tset_checks_p_before_t():
@@ -302,9 +304,18 @@ def test_greedy_packing_at_p_one_scans_no_blocks():
                 if covered.isdisjoint(block):
                     scanned.append(block)
                     covered.update(block)
-            assert greedy_packing(n, m, 1, budget=0) == scanned
+            assert greedy_packing(n, m, 1, budget=len(scanned)) == scanned
     # C(40, 7) blocks would take minutes to scan
-    assert greedy_packing(40, 7, 1, budget=0) == [tuple(range(s, s + 7)) for s in range(0, 35, 7)]
+    assert greedy_packing(40, 7, 1, budget=5) == [tuple(range(s, s + 7)) for s in range(0, 35, 7)]
+
+
+def test_greedy_packing_at_p_one_counts_its_blocks_against_the_budget():
+    # the blocks are returned, not scanned, so memory follows the budget and not n
+    assert len(greedy_packing(100, 4, 1, budget=25)) == 25
+    for n in (100, 10**12):
+        with pytest.raises(BudgetExceeded, match="packing scan exceeded 3 blocks") as err:
+            greedy_packing(n, 4, 1, budget=3)
+        assert err.value.best == 3
 
 
 def test_greedy_packing_budget_counts_blocks_scanned():

@@ -2,8 +2,8 @@
 no function imports anything, every private top-level function or class,
 and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
-encoder, the verify suites share one harness, one helper checks a level
-k, one function in cli.py writes stdout, ramsey.f_value alone chooses a
+encoder, the verify suites share one harness, one helper checks a count
+argument, one function in cli.py writes stdout, ramsey.f_value alone chooses a
 route for f, no search enumerates all C(n,p) p-sets, the Hypergraph
 constructor alone checks and sorts edges, and every library name and
 traced method that perfbench refers to exists."""
@@ -155,7 +155,7 @@ def test_one_verify_harness():
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
         if isinstance(node, ast.Call)
-        and (isinstance(node.func, ast.Name) and node.func.id == "_check_budget"
+        and (ast.unparse(node).startswith("_check_count('budget'")
              or isinstance(node.func, ast.Attribute) and node.func.attr == "perf_counter")
     }
     assert callers == {"_suite"}
@@ -171,13 +171,44 @@ def test_one_verify_harness():
         assert params["budget"].default == DEFAULT_NODE_BUDGET
 
 
+# names that hold a count argument, or a cap or class size read from one;
+# test_hypercore lists the public functions taking an argument so named
+_COUNT_NAMES = {"n", "r", "p", "k", "t", "d", "m", "budget", "n_max", "e_max", "cap", "size", "sizes"}
+
+
 def test_one_level_check():
-    # hypercore._check_k alone words the "k must be >= ..." refusal
+    # hypercore._check_count alone words the refusal of a count argument, and
+    # no other module guards a raise by comparing a count with a number or
+    # by testing its type
     holders = [
         path.name for path in sorted(SRC.glob("*.py"))
-        if "k must be" in path.read_text(encoding="utf-8")
+        if "must be an integer >=" in path.read_text(encoding="utf-8")
     ]
     assert holders == ["hypercore.py"]
+
+    def count(node):
+        return isinstance(node, ast.Name) and node.id in _COUNT_NAMES
+
+    def number(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+    def domain_test(node):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            return (any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+                    and any(map(count, sides)) and any(map(number, sides)))
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and count(node.args[0])
+
+    guards = [
+        f"{name}:{node.lineno}"
+        for name, tree in _parsed_sources().items()
+        if name != "hypercore.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        and any(map(domain_test, ast.walk(node.test)))
+    ]
+    assert guards == []
 
 
 def test_partition_orientation_takes_no_remainder():

@@ -3,6 +3,7 @@
 import inspect
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -10,10 +11,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_hygiene import _COUNT_NAMES
 
 import hyperf.extremal
 import hyperf.fcalc
 import hyperf.hypercore
+import hyperf.orient
 import hyperf.ramsey
 import hyperf.verify
 from hyperf import (
@@ -25,6 +28,7 @@ from hyperf import (
     HyperfError,
     FormatError,
     Orientation,
+    PSetColoring,
     RepeatedVertexInEdge,
     VertexOutOfRange,
     ascending_orientation,
@@ -35,13 +39,19 @@ from hyperf import (
     canonicalize,
     chi_r,
     chromatic_exact,
+    closed_form_complete,
+    closed_form_multipartite,
     complement,
     complete,
     complete_multipartite,
+    complete_part_size,
     degeneracy,
     degree_vector,
     degree_vectors,
+    derived_pset_hypergraph,
+    edge_bound,
     f_bruteforce,
+    f_count,
     f_p1_exact,
     f_threshold,
     f_value,
@@ -56,17 +66,25 @@ from hyperf import (
     max_coordinate,
     mop_fan,
     mop_random,
+    orient_budget,
+    orient_forbidden,
+    orient_from_partition,
+    orient_max_outdeg,
     packing_bound,
+    partition_degenerate,
+    random_corpus,
     random_hypergraph,
     random_orientation,
     read_path,
     run_all,
     to_json,
     to_text,
+    tset_threshold_q,
     verify_suite,
     write_path,
 )
-from hyperf.hypercore import DEFAULT_NODE_BUDGET, _placements
+from hyperf.fcalc import closed_form
+from hyperf.hypercore import DEFAULT_NODE_BUDGET, _placements, orientation_from_rows
 
 
 def test_canonicalize_sorts_edges_and_vertices():
@@ -350,7 +368,7 @@ _NODE_BUDGETED = {
 
 @pytest.mark.parametrize("name", sorted(_NODE_BUDGETED))
 def test_negative_budget_is_bad_params(name):
-    with pytest.raises(BadParams, match="budget must be >= 0, got -5"):
+    with pytest.raises(BadParams, match="budget must be an integer >= 0, got -5"):
         _NODE_BUDGETED[name](-5)
 
 
@@ -365,3 +383,119 @@ def test_every_node_budgeted_search_is_listed():
         == DEFAULT_NODE_BUDGET
     }
     assert found == set(_NODE_BUDGETED)
+
+
+_K4 = complete(4, 2)
+_K43 = complete(4, 3)
+_D43 = ascending_orientation(_K43)
+
+# "module.function:argument" -> (name in the refusal, least value, one cheap call)
+_COUNTED = {
+    "hypercore.Hypergraph:n": ("n", 0, lambda v: Hypergraph(v, 2, ())),
+    "hypercore.Hypergraph:r": ("r", 2, lambda v: Hypergraph(3, v, ())),
+    "hypercore.canonicalize:n": ("n", 0, lambda v: canonicalize([], v, 2)),
+    "hypercore.canonicalize:r": ("r", 2, lambda v: canonicalize([], 3, v)),
+    "hypercore.orientation_from_rows:n": ("n", 0, lambda v: orientation_from_rows([], v, 2)),
+    "hypercore.orientation_from_rows:r": ("r", 2, lambda v: orientation_from_rows([], 3, v)),
+    "hypercore.complete:n": ("n", 0, lambda v: complete(v, 2)),
+    "hypercore.complete:r": ("r", 2, lambda v: complete(4, v)),
+    "hypercore.complete_multipartite:sizes": ("class size", 1, lambda v: complete_multipartite((2, v))),
+    "hypercore.mop_fan:n": ("n", 3, lambda v: mop_fan(v)),
+    "hypercore.mop_random:n": ("n", 3, lambda v: mop_random(v, 1)),
+    "hypercore.random_hypergraph:n": ("n", 3, lambda v: random_hypergraph(v, 3, 1, 1)),
+    "hypercore.random_hypergraph:r": ("r", 2, lambda v: random_hypergraph(5, v, 1, 1)),
+    "hypercore.random_hypergraph:m": ("m", 0, lambda v: random_hypergraph(5, 3, v, 1)),
+    "hypercore.degree_vectors:p": ("p", 1, lambda v: degree_vectors(_D43, v)),
+    "extremal.beta:d": ("d", 0, lambda v: beta(_K4, v)),
+    "extremal.m_value:k": ("k", 0, lambda v: m_value(_K4, v)),
+    "extremal.partition_degenerate:k": ("k", 0, lambda v: partition_degenerate(_K4, v)),
+    "fcalc.f_count:p": ("p", 1, lambda v: f_count(_D43, v, 1)),
+    "fcalc.f_count:k": ("k", 0, lambda v: f_count(_D43, 1, v)),
+    "fcalc.f_bruteforce:p": ("p", 1, lambda v: f_bruteforce(_K43, v, 1)),
+    "fcalc.f_bruteforce:k": ("k", 0, lambda v: f_bruteforce(_K43, 1, v)),
+    "fcalc.f_via_m:k": ("k", 1, lambda v: f_via_m(complete(6, 2), v)),
+    "fcalc.closed_form:p": ("p", 1, lambda v: closed_form(_K4, v, 1)),
+    "fcalc.closed_form:k": ("k", 0, lambda v: closed_form(_K4, 1, v)),
+    "fcalc.complete_part_size:r": ("r", 2, lambda v: complete_part_size(v, 1)),
+    "fcalc.complete_part_size:k": ("k", 1, lambda v: complete_part_size(3, v)),
+    "fcalc.closed_form_complete:n": ("n", 0, lambda v: closed_form_complete(v, 2, 1)),
+    "fcalc.closed_form_complete:r": ("r", 2, lambda v: closed_form_complete(10, v, 1)),
+    "fcalc.closed_form_complete:k": ("k", 1, lambda v: closed_form_complete(10, 2, v)),
+    "fcalc.closed_form_multipartite:sizes":
+        ("class size", 1, lambda v: closed_form_multipartite((3, v), 1)),
+    "fcalc.closed_form_multipartite:k": ("k", 1, lambda v: closed_form_multipartite((3, 3), v)),
+    "fcalc.bounds:k": ("k", 1, lambda v: bounds(_K4, v)),
+    "fcalc.edge_bound:n": ("n", 0, lambda v: edge_bound(v, 3, 1)),
+    "fcalc.edge_bound:r": ("r", 2, lambda v: edge_bound(9, v, 1)),
+    "fcalc.edge_bound:k": ("k", 1, lambda v: edge_bound(9, 3, v)),
+    "fcalc.tset_threshold_q:r": ("r", 2, lambda v: tset_threshold_q(v, 1, 1)),
+    "fcalc.tset_threshold_q:p": ("p", 1, lambda v: tset_threshold_q(3, v, 1)),
+    "fcalc.tset_threshold_q:k": ("k", 1, lambda v: tset_threshold_q(3, 2, v)),
+    "fcalc.find_tset:p": ("p", 1, lambda v: find_tset(_D43, v, 1, 2)),
+    "fcalc.find_tset:k": ("k", 0, lambda v: find_tset(_D43, 1, v, 2)),
+    "fcalc.find_tset:t": ("t", 0, lambda v: find_tset(_D43, 1, 1, v)),
+    "fcalc.greedy_packing:n": ("n", 0, lambda v: greedy_packing(v, 3, 1)),
+    "fcalc.greedy_packing:m": ("m", 1, lambda v: greedy_packing(7, v, 1)),
+    "fcalc.greedy_packing:p": ("p", 1, lambda v: greedy_packing(7, 3, v)),
+    "fcalc.packing_bound:n": ("n", 0, lambda v: packing_bound(v, 3, 1, 1)),
+    "fcalc.packing_bound:r": ("r", 2, lambda v: packing_bound(10, v, 1, 1)),
+    "fcalc.packing_bound:p": ("p", 1, lambda v: packing_bound(10, 3, v, 1)),
+    "fcalc.packing_bound:k": ("k", 1, lambda v: packing_bound(10, 3, 1, v)),
+    "fcalc.packing_bound:m": ("m", 1, lambda v: packing_bound(10, 3, 1, 1, m=v)),
+    "orient.orient_budget:budget":
+        ("budget[0]", 0, lambda v: orient_budget(_K4, {0: v, 1: 1, 2: 1, 3: 1})),
+    "orient.orient_max_outdeg:k": ("k", 0, lambda v: orient_max_outdeg(_K4, v)),
+    "orient.orient_from_partition:k": ("k", 1, lambda v: orient_from_partition(_K4, v, [[0], [1]])),
+    "orient.orient_forbidden:p": ("p", 1, lambda v: orient_forbidden(_K43, {}, v)),
+    "ramsey.PSetColoring:p": ("p", 1, lambda v: PSetColoring(v, 2, {})),
+    "ramsey.PSetColoring:colors": ("colors", 1, lambda v: PSetColoring(1, v, {})),
+    "ramsey.derived_pset_hypergraph:p": ("p", 1, lambda v: derived_pset_hypergraph(_K43, v)),
+    "ramsey.chi_r:p": ("p", 1, lambda v: chi_r(_K43, v)),
+    "ramsey.b_value:p": ("p", 1, lambda v: b_value(_K43, v)),
+    "ramsey.f_value:p": ("p", 1, lambda v: f_value(_K43, v, 1)),
+    "ramsey.f_value:k": ("k", 0, lambda v: f_value(_K43, 1, v)),
+    "ramsey.f_threshold:r": ("r", 2, lambda v: f_threshold(v, 1, 1, 5)),
+    "ramsey.f_threshold:p": ("p", 1, lambda v: f_threshold(3, v, 1, 5)),
+    "ramsey.f_threshold:k": ("k", 1, lambda v: f_threshold(3, 2, v, 5)),
+    "ramsey.f_threshold:n_max": ("n_max", 1, lambda v: f_threshold(3, 2, 1, v)),
+    "ramsey.f_p1_exact:p": ("p", 1, lambda v: f_p1_exact(_K43, v)),
+    "verify.random_corpus:n_max": ("n_max", 4, lambda v: random_corpus(1, 1, n_max=v)),
+    "verify.random_corpus:e_max": ("e_max", 0, lambda v: random_corpus(1, 1, e_max=v)),
+    **{f"{name}:budget": ("budget", 0, call) for name, call in _NODE_BUDGETED.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_count_arguments_refuse_non_integers_and_values_below_their_least(name):
+    label, least, call = _COUNTED[name]
+    for value in (least - 1, least + 0.5):
+        with pytest.raises(HyperfError, match=re.escape(f"{label} must be an integer >= {least}, got {value!r}")):
+            call(value)
+
+
+def test_every_count_argument_is_listed():
+    found = {
+        f"{module.__name__.split('.')[1]}.{attr}:{param.name}"
+        for module in (hyperf.hypercore, hyperf.extremal, hyperf.fcalc, hyperf.orient,
+                       hyperf.ramsey, hyperf.verify)
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        for param in inspect.signature(obj).parameters.values()
+        if param.name in _COUNT_NAMES and param.annotation != "Orientation"  # d is also an orientation
+    }
+    assert found <= set(_COUNTED), sorted(found - set(_COUNTED))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Hypergraph(3, 2, [5]), "edge 5 is not a sequence of vertices"),
+    (lambda: Orientation(_K4, [(0, "x")] * _K4.e), "order (0, 'x') is not a permutation of edge (0, 1)"),
+    (lambda: orient_from_partition(_K4, 1, [[1, "a"]]), "part vertex a out of range"),
+    (lambda: orient_from_partition(_K4, 1, [[0, 1], (v for v in [2, "a"])]), "part vertex a out of range"),
+    (lambda: orient_budget(_K4, {0: "a", 1: 1, 2: 1, 3: 1}), "budget[0] must be an integer >= 0, got 'a'"),
+    (lambda: orient_budget(_K4, {0: 1, 1: 1.5, 2: 1, 3: 1}), "budget[1] must be an integer >= 0, got 1.5"),
+])
+def test_structured_input_of_the_wrong_type_is_bad_params(build, message):
+    with pytest.raises(BadParams) as caught:
+        build()
+    assert str(caught.value) == message

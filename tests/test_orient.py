@@ -29,7 +29,7 @@ from hyperf import (
     orient_max_outdeg,
     random_hypergraph,
 )
-from hyperf.orient import _lowest_order
+from hyperf.orient import _pattern_order
 
 
 def _first_position_degrees(d):
@@ -214,7 +214,8 @@ def test_lowest_order_pattern_table_matches_permutation_scan():
             bar = {v: j for v, j in zip(edge, pattern) if j >= 0}
             want = next((cand for cand in permutations(edge)
                          if all(bar.get(v) != j for j, v in enumerate(cand))), None)
-            assert _lowest_order(edge, bar) == want, pattern
+            picks = _pattern_order(pattern)
+            assert (None if picks is None else tuple(edge[j] for j in picks)) == want, pattern
             seen += 1
     assert seen == 8474
 
