@@ -26,9 +26,9 @@ from .hypercore import (
     _check_count,
     _check_p,
     _check_sizes,
+    _full_psets,
     _placements,
     _touched_psets,
-    _touched_vectors,
     ascending_orientation,
 )
 from .extremal import (
@@ -70,7 +70,7 @@ def f_count(d: Orientation, p: int, k: int) -> int:
     _check_p(p, d.base.r)
     if k == 0:
         return math.comb(d.base.n, p)
-    return sum(1 for coords in _touched_vectors(d, p).values() if min(coords) >= k)
+    return len(_full_psets(d, p, k))
 
 
 def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport:
@@ -100,7 +100,7 @@ def f_bruteforce(h: Hypergraph, p: int, k: int, budget: int = DEFAULT_NODE_BUDGE
             budget_used=0,
         )
     npos = math.comb(h.r, p)
-    ids = {a: i for i, a in enumerate(_touched_psets(h, p))}
+    ids = _touched_psets(h, p)
     edge_orders = [sorted(permutations(edge)) for edge in h.edges]
     edge_updates = [
         [tuple(ids[a] * npos + rank for rank, a in enumerate(placed))
@@ -424,7 +424,7 @@ def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE
         return None
     if t < p or k == 0:
         return tuple(range(t))
-    good = {a for a, coords in _touched_vectors(d, p).items() if min(coords) >= k}
+    good = _full_psets(d, p, k)
     if p == 1:
         verts = [v for v in range(h.n) if (v,) in good]
         return tuple(verts[:t]) if len(verts) >= t else None

@@ -11,7 +11,9 @@ For 1 <= p <= r-1, the p-subsets of the position set {0..r-1} are ranked
 lexicographically (rank 0 is {0..p-1}); the degree vector of a p-set A of
 vertices has one coordinate per position-subset, counting the edges in
 which A occupies exactly that set of positions (`_placements`).  The
-p-sets inside some edge are numbered by `_touched_psets`.
+p-sets inside some edge are numbered, in lexicographic order, by
+`_touched_psets` alone, and `_full_psets` alone recounts the p-sets that
+are full at level k (every coordinate >= k) under an orientation.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -80,6 +83,13 @@ def _check_count(name: str, value, least: int, error: type[HyperfError] = BadPar
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_index(name: str, value, size: int):
+    """The one rule for an index argument outside an edge (a position, a
+    part vertex, a colour): an integer in 0..size-1."""
+    if not isinstance(value, int) or not (0 <= value < size):
+        raise BadParams(f"{name} must be an integer in 0..{size - 1}, got {value!r}")
+
+
 def _check_p(p: int, r: int):
     _check_count("p", p, 1, BadPSet)
     if p > r - 1:
@@ -88,7 +98,11 @@ def _check_p(p: int, r: int):
 
 def _check_sizes(sizes: Sequence[int]):
     """The class sizes of a complete multipartite graph: at least one, each >= 1."""
-    _check_count("number of classes", len(sizes), 1)
+    try:
+        classes = len(sizes)
+    except TypeError:
+        raise BadParams(f"class sizes {sizes!r} are not a sequence") from None
+    _check_count("number of classes", classes, 1)
     for size in sizes:
         _check_count("class size", size, 1)
 
@@ -106,8 +120,12 @@ class Hypergraph:
     def __post_init__(self):
         _check_count("n", self.n, 0)
         _check_count("r", self.r, 2)
+        try:
+            raws = iter(self.edges)
+        except TypeError:
+            raise BadParams(f"edges {self.edges!r} are not an iterable of edges") from None
         edges = []
-        for raw in self.edges:
+        for raw in raws:
             _check_edge(raw, self.n, self.r)
             edges.append(tuple(sorted(raw)))
         edges.sort()
@@ -160,7 +178,11 @@ class Orientation:
     orders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(tuple(o) for o in self.orders))
+        try:
+            orders = tuple(tuple(o) for o in self.orders)
+        except TypeError:
+            raise BadParams("orders must be one sequence of vertices per edge") from None
+        object.__setattr__(self, "orders", orders)
         if len(self.orders) != self.base.e:
             raise BadParams("one order per edge required")
         for edge, order in zip(self.base.edges, self.orders):
@@ -230,9 +252,22 @@ def _placements(orders: Iterable[Sequence[int]], r: int, p: int) -> Iterator[lis
             yield [tuple(sorted([order[i] for i in s])) for s in subsets]
 
 
-def _touched_psets(h: Hypergraph, p: int) -> list[tuple[int, ...]]:
-    """The p-sets inside some edge, in lexicographic order; a p-set's id is its index."""
-    return sorted({a for edge in h.edges for a in combinations(edge, p)})
+def _touched_psets(h: Hypergraph, p: int) -> dict[tuple[int, ...], int]:
+    """The p-sets inside some edge, each mapped to its id: its index in
+    lexicographic order."""
+    psets = sorted({a for edge in h.edges for a in combinations(edge, p)})
+    return {a: i for i, a in enumerate(psets)}
+
+
+def _full_psets(d: Orientation, p: int, k: int) -> set[tuple[int, ...]]:
+    """The p-sets whose coordinates are all >= k >= 1 under d, in one pass
+    over the placements: only a p-set inside some edge can be full."""
+    npos = math.comb(d.base.r, p)
+    rows = _placements(d.orders, d.base.r, p)
+    # how many ordered edges place each p-set at each rank
+    placed = Counter(chain.from_iterable(map(zip, rows, repeat(range(npos)))))
+    reached = Counter(a for (a, _), count in placed.items() if count >= k)
+    return {a for a, ranks in reached.items() if ranks == npos}
 
 
 def degree_vector(d: Orientation, pset: Sequence[int]) -> DegreeVector:
@@ -252,28 +287,20 @@ def degree_vectors(d: Orientation, p: int) -> dict[tuple[int, ...], list[int]]:
 
     p-sets contained in no edge get all-zero coordinates.
     """
-    touched = _touched_vectors(d, p)
-    npos = math.comb(d.base.r, p)
-    return {a: touched.get(a) or [0] * npos for a in combinations(range(d.base.n), p)}
-
-
-def _touched_vectors(d: Orientation, p: int) -> dict[tuple[int, ...], list[int]]:
-    """Degree vectors of the p-sets inside some edge, in one pass over the
-    edges; every other p-set has all-zero coordinates."""
-    _check_p(p, d.base.r)
-    npos = math.comb(d.base.r, p)
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for placed in _placements(d.orders, d.base.r, p):
+    h = d.base
+    _check_p(p, h.r)
+    npos = math.comb(h.r, p)
+    vecs = {a: [0] * npos for a in combinations(range(h.n), p)}
+    for placed in _placements(d.orders, h.r, p):
         for rank, a in enumerate(placed):
-            acc.setdefault(a, [0] * npos)[rank] += 1
-    return acc
+            vecs[a][rank] += 1
+    return vecs
 
 
 def max_coordinate(d: Orientation, i: int) -> int:
     """Max over vertices of the number of edges placing the vertex at position i."""
     h = d.base
-    if not (0 <= i < h.r):
-        raise BadParams(f"position {i} not in 0..{h.r - 1}")
+    _check_index("position", i, h.r)
     cnt = [0] * h.n
     for order in d.orders:
         cnt[order[i]] += 1
@@ -495,9 +522,10 @@ def from_text(text: str) -> Hypergraph | Orientation:
 
 def orientation_from_rows(rows: Iterable[Sequence[int]], n: int, r: int) -> Orientation:
     """Orientation from edge orderings given in any edge order."""
-    keyed = sorted((tuple(sorted(row)), tuple(row)) for row in rows)
-    base = canonicalize([key for key, _ in keyed], n, r)
-    return Orientation(base, tuple(row for _, row in keyed))
+    rows = list(rows)
+    base = canonicalize(rows, n, r)  # checks each row before it is sorted here
+    order_of = {tuple(sorted(row)): tuple(row) for row in rows}
+    return Orientation(base, tuple(order_of[edge] for edge in base.edges))
 
 
 def _read_text(path) -> str:

@@ -22,6 +22,7 @@ from .hypercore import (
     HyperfError,
     Orientation,
     _check_count,
+    _check_index,
     _check_p,
     _check_pset,
 )
@@ -114,8 +115,10 @@ def orient_budget(h: Hypergraph, budget: Mapping[int, int]) -> Orientation | Inf
     edges; otherwise the returned Infeasible carries such an F.
     """
     if set(budget) != set(range(h.n)):
+        missing = [v for v in range(h.n) if v not in budget]
+        extra = [v for v in budget if v not in range(h.n)]
         raise BudgetDomainMismatch(
-            f"budget domain must be 0..{h.n - 1}, got {sorted(budget)}"
+            f"budget domain must be 0..{h.n - 1}; missing {missing}, extra {extra}"
         )
     caps = [budget[v] for v in range(h.n)]
     for v, cap in enumerate(caps):
@@ -152,19 +155,20 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
     _check_count("k", k, 1)
     if len(parts) > h.r:
         raise BadParams(f"at most r={h.r} parts allowed, got {len(parts)}")
-    psets = [list(dict.fromkeys(part)) for part in parts]  # each part read once
-    part_of = {v: i for i, part in enumerate(psets) for v in part}
+    psets = [list(part) for part in parts]  # each part read once
+    try:
+        part_of = {v: i for i, part in enumerate(psets) for v in part}
+    except TypeError:  # an unhashable vertex, which the scan below names
+        part_of = {}
     if (len(part_of) < sum(map(len, psets))
             or not all(issubclass(t, int) for t in set(map(type, part_of)))
             or any(min(part) < 0 or max(part) >= h.n for part in psets if part)):
-        seen = set()  # the first offending vertex in part order names the error
-        for part in psets:
+        seen = {}  # the first offending vertex in part order names the error
+        for i, part in enumerate(psets):
             for v in part:
-                if not isinstance(v, int) or not (0 <= v < h.n):
-                    raise BadParams(f"part vertex {v} out of range")
-                if v in seen:
+                _check_index("part vertex", v, h.n)
+                if seen.setdefault(v, i) != i:
                     raise PartsNotDisjoint(f"vertex {v} is in two parts")
-                seen.add(v)
 
     # per edge the part each vertex is in, or -1; the part an edge lies inside, or -1
     get, unplaced = part_of.get, (-1,) * h.r
@@ -225,7 +229,7 @@ def _pattern_order(bar: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
+def orient_forbidden(h: Hypergraph, coloring: Mapping, p: int) -> Orientation:
     """Orientation avoiding, for every colored p-set, its color coordinate.
 
     A p-set colored c must never occupy the rank-c position subset.  Each
@@ -236,27 +240,27 @@ def orient_forbidden(h: Hypergraph, coloring, p: int) -> Orientation:
     Only p = 1 and p = r-1 are accepted.  They guarantee an ordering of
     every edge only for colorings in which no fully colored edge is
     p-monochromatic, such as b_value's; any other coloring may raise
-    StuckEdge.  Every key must be a sorted p-set of h's vertices (BadPSet
-    otherwise); only the keys inside some edge are read.
+    StuckEdge.  `coloring` is the mapping from p-set to color itself (a
+    PSetColoring's `colored`, not the PSetColoring).  Every key must be a
+    sorted p-set of h's vertices (BadPSet otherwise); only the keys inside
+    some edge are read.
     """
     _check_p(p, h.r)
     if p not in (1, h.r - 1):
         raise BadPSet(f"forbidden-coordinate orientations need p in {{1, r-1}}, got {p}")
-    colored: Mapping = getattr(coloring, "colored", coloring)
-    for pset, c in colored.items():
+    for pset, c in coloring.items():
         _check_pset(pset, h.n, h.r)
         if len(pset) != p:
             raise BadPSet(f"{pset} is not a {p}-set")
-        if not isinstance(c, int) or not (0 <= c < h.r):
-            raise BadParams(f"color {c} of {pset} outside 0..{h.r - 1}")
+        _check_index(f"color of {pset}", c, h.r)
     orders = []
     for edge in h.edges:
         # the edge's pattern: the position each vertex is barred from, or -1
         if p == 1:
-            bar = tuple([colored.get((v,), -1) for v in edge])
+            bar = tuple([coloring.get((v,), -1) for v in edge])
         else:
             rests = (edge[:i] + edge[i + 1:] for i in range(h.r))
-            bar = tuple([h.r - 1 - colored[a] if a in colored else -1 for a in rests])
+            bar = tuple([h.r - 1 - coloring[a] if a in coloring else -1 for a in rests])
         picks = _pattern_order(bar)
         if picks is None:
             raise StuckEdge(edge)

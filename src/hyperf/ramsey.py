@@ -23,6 +23,7 @@ from .hypercore import (
     BudgetExceeded,
     Hypergraph,
     _check_count,
+    _check_index,
     _check_p,
     _touched_psets,
     canonicalize,
@@ -56,8 +57,7 @@ class PSetColoring:
             if not (isinstance(pset, tuple) and len(pset) == self.p
                     and all(isinstance(v, int) for v in pset) and list(pset) == sorted(set(pset))):
                 raise BadPSet(f"{pset!r} is not a sorted {self.p}-set of integer vertices")
-            if not isinstance(c, int) or not (0 <= c < self.colors):
-                raise BadParams(f"color {c} outside 0..{self.colors - 1}")
+            _check_index(f"color of {pset}", c, self.colors)
 
 
 def check_mono(h: Hypergraph, coloring: PSetColoring) -> list[tuple[int, ...]]:
@@ -78,7 +78,7 @@ def derived_pset_hypergraph(h: Hypergraph, p: int) -> Hypergraph:
     coloring of this hypergraph, so chi_r reduces to exact coloring.
     """
     _check_p(p, h.r)
-    ids = {a: i for i, a in enumerate(_touched_psets(h, p))}
+    ids = _touched_psets(h, p)
     edges = [tuple(ids[s] for s in combinations(edge, p)) for edge in h.edges]
     return canonicalize(edges, len(ids), math.comb(h.r, p))
 
@@ -117,9 +117,9 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     except BudgetExceeded as exc:
         exc.best += untouched
         raise
-    psets = _touched_psets(h, p)
-    touched = set(psets)
-    colored = {a: 0 for a in combinations(range(h.n), p) if a not in touched}
+    ids = _touched_psets(h, p)
+    psets = list(ids)
+    colored = {a: 0 for a in combinations(range(h.n), p) if a not in ids}
     colored.update((psets[a], c) for c, members in enumerate(classes) for a in members)
     return BValueResult(value + untouched, PSetColoring(p, derived.r, colored))
 

@@ -107,6 +107,7 @@ def _suite(name):
 
 def random_corpus(count, seed, ranks=(2, 3, 4), n_max=10, e_max=12):
     """Deterministic list of small random hypergraphs used by the suites."""
+    _check_count("count", count, 0)
     if not ranks:
         raise BadParams("need at least one rank")
     _check_count("n_max", n_max, max(ranks))

@@ -54,7 +54,7 @@ def test_f_count_triangle_orientations():
 
 def test_f_count_at_k_zero_builds_no_degree_vectors(monkeypatch):
     # every p-set qualifies at k = 0, so no degree vector is needed
-    monkeypatch.setattr(hyperf.fcalc, "_touched_vectors", None)
+    monkeypatch.setattr(hyperf.fcalc, "_full_psets", None)
     assert f_count(ascending_orientation(complete(6, 3)), 2, 0) == comb(6, 2)
 
 

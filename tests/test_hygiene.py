@@ -4,7 +4,8 @@ and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
 encoder, the verify suites share one harness, one helper checks a count
 argument, one function in cli.py writes stdout, ramsey.f_value alone chooses a
-route for f, no search enumerates all C(n,p) p-sets, the Hypergraph
+route for f, no search enumerates all C(n,p) p-sets, hypercore alone
+recounts full p-sets and numbers the touched ones, the Hypergraph
 constructor alone checks and sorts edges, and every library name and
 traced method that perfbench refers to exists."""
 
@@ -173,16 +174,17 @@ def test_one_verify_harness():
 
 # names that hold a count argument, or a cap or class size read from one;
 # test_hypercore lists the public functions taking an argument so named
-_COUNT_NAMES = {"n", "r", "p", "k", "t", "d", "m", "budget", "n_max", "e_max", "cap", "size", "sizes"}
+_COUNT_NAMES = {"n", "r", "p", "k", "t", "d", "m", "budget", "n_max", "e_max", "cap", "size", "sizes",
+                "count"}
 
 
 def test_one_level_check():
-    # hypercore._check_count alone words the refusal of a count argument, and
-    # no other module guards a raise by comparing a count with a number or
-    # by testing its type
+    # hypercore._check_count and _check_index alone word the refusal of a
+    # count or an index argument, and no other module guards a raise by
+    # comparing a count with a number or by testing its type
     holders = [
         path.name for path in sorted(SRC.glob("*.py"))
-        if "must be an integer >=" in path.read_text(encoding="utf-8")
+        if "must be an integer" in path.read_text(encoding="utf-8")
     ]
     assert holders == ["hypercore.py"]
 
@@ -286,6 +288,35 @@ def test_no_full_pset_enumeration():
         if isinstance(node, ast.Call) and full_scan(node)
     }
     assert scanners <= _DENSE_ENUMERATORS, sorted(scanners - _DENSE_ENUMERATORS)
+
+
+def test_one_recount_and_one_touched_numbering():
+    # hypercore._full_psets alone tests degree vectors against the level k
+    # (the recount behind f_count and find_tset; f_bruteforce keeps its own
+    # search counter), and hypercore._touched_psets alone numbers the
+    # touched p-sets: no other module enumerates what it returns
+    def level_test(node):
+        sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        return (any(isinstance(side, ast.Call) and ast.unparse(side.func) == "min" for side in sides)
+                and any(isinstance(side, ast.Name) and side.id == "k" for side in sides))
+
+    def touched(node, names):
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "_touched_psets"
+                or isinstance(node, ast.Name) and node.id in names)
+
+    strays = []
+    for name, tree in _parsed_sources().items():
+        if name == "hypercore.py":
+            continue
+        names = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and touched(node.value, ()) for target in node.targets if isinstance(target, ast.Name)}
+        strays += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if level_test(node)
+            or isinstance(node, ast.Call) and ast.unparse(node.func) == "enumerate"
+            and any(touched(sub, names) for arg in node.args for sub in ast.walk(arg))
+        ]
+    assert strays == []
 
 
 def test_one_edge_canonicaliser():

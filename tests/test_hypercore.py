@@ -23,6 +23,7 @@ from hyperf import (
     SUITES,
     BadParams,
     BadPSet,
+    BudgetDomainMismatch,
     DuplicateEdge,
     Hypergraph,
     HyperfError,
@@ -459,6 +460,7 @@ _COUNTED = {
     "ramsey.f_threshold:k": ("k", 1, lambda v: f_threshold(3, 2, v, 5)),
     "ramsey.f_threshold:n_max": ("n_max", 1, lambda v: f_threshold(3, 2, 1, v)),
     "ramsey.f_p1_exact:p": ("p", 1, lambda v: f_p1_exact(_K43, v)),
+    "verify.random_corpus:count": ("count", 0, lambda v: random_corpus(v, 1)),
     "verify.random_corpus:n_max": ("n_max", 4, lambda v: random_corpus(1, 1, n_max=v)),
     "verify.random_corpus:e_max": ("e_max", 0, lambda v: random_corpus(1, 1, e_max=v)),
     **{f"{name}:budget": ("budget", 0, call) for name, call in _NODE_BUDGETED.items()},
@@ -487,15 +489,40 @@ def test_every_count_argument_is_listed():
     assert found <= set(_COUNTED), sorted(found - set(_COUNTED))
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: Hypergraph(3, 2, [5]), "edge 5 is not a sequence of vertices"),
-    (lambda: Orientation(_K4, [(0, "x")] * _K4.e), "order (0, 'x') is not a permutation of edge (0, 1)"),
-    (lambda: orient_from_partition(_K4, 1, [[1, "a"]]), "part vertex a out of range"),
-    (lambda: orient_from_partition(_K4, 1, [[0, 1], (v for v in [2, "a"])]), "part vertex a out of range"),
-    (lambda: orient_budget(_K4, {0: "a", 1: 1, 2: 1, 3: 1}), "budget[0] must be an integer >= 0, got 'a'"),
-    (lambda: orient_budget(_K4, {0: 1, 1: 1.5, 2: 1, 3: 1}), "budget[1] must be an integer >= 0, got 1.5"),
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Hypergraph(3, 2, [5]), BadParams, "edge 5 is not a sequence of vertices"),
+    (lambda: Hypergraph(3, 2, 5), BadParams, "edges 5 are not an iterable of edges"),
+    (lambda: Orientation(_K4, [(0, "x")] * _K4.e), BadParams,
+     "order (0, 'x') is not a permutation of edge (0, 1)"),
+    (lambda: Orientation(_K4, 5), BadParams, "orders must be one sequence of vertices per edge"),
+    (lambda: Orientation(complete(3, 2), [5, 5, 5]), BadParams,
+     "orders must be one sequence of vertices per edge"),
+    (lambda: orientation_from_rows([(0, "a")], 3, 2), VertexOutOfRange, "vertex 'a' not in 0..2"),
+    (lambda: orient_from_partition(_K4, 1, [[1, "a"]]), BadParams,
+     "part vertex must be an integer in 0..3, got 'a'"),
+    (lambda: orient_from_partition(_K4, 1, [[0, 1], (v for v in [2, "a"])]), BadParams,
+     "part vertex must be an integer in 0..3, got 'a'"),
+    (lambda: orient_from_partition(_K4, 1, [[[1]]]), BadParams,
+     "part vertex must be an integer in 0..3, got [1]"),
+    (lambda: complete_multipartite(5), BadParams, "class sizes 5 are not a sequence"),
+    (lambda: max_coordinate(_D43, 1.5), BadParams, "position must be an integer in 0..2, got 1.5"),
+    (lambda: max_coordinate(_D43, 3), BadParams, "position must be an integer in 0..2, got 3"),
+    (lambda: random_corpus(1.5, 1), BadParams, "count must be an integer >= 0, got 1.5"),
+    (lambda: orient_budget(_K4, {0: "a", 1: 1, 2: 1, 3: 1}), BadParams,
+     "budget[0] must be an integer >= 0, got 'a'"),
+    (lambda: orient_budget(_K4, {0: 1, 1: 1.5, 2: 1, 3: 1}), BadParams,
+     "budget[1] must be an integer >= 0, got 1.5"),
+    (lambda: orient_budget(complete(3, 2), {0: 1, 1: 1, 2: 1, "a": 1}), BudgetDomainMismatch,
+     "budget domain must be 0..2; missing [], extra ['a']"),
+    (lambda: orient_budget(complete(3, 2), {0: 1, 5: 1}), BudgetDomainMismatch,
+     "budget domain must be 0..2; missing [1, 2], extra [5]"),
+    (lambda: PSetColoring(1, 2, {(0,): 2}), BadParams, "color of (0,) must be an integer in 0..1, got 2"),
+    (lambda: orient_forbidden(_K43, {(0,): "x"}, 1), BadParams,
+     "color of (0,) must be an integer in 0..2, got 'x'"),
 ])
-def test_structured_input_of_the_wrong_type_is_bad_params(build, message):
-    with pytest.raises(BadParams) as caught:
+def test_malformed_structured_input_is_a_hyperf_error(build, error, message):
+    # malformed input names its fault in a HyperfError, never a TypeError, and
+    # every index outside an edge is refused in hypercore._check_index's words
+    with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
