@@ -4,9 +4,11 @@ Commands read and write the plain-text format of ``hypercore`` and print
 either human-readable lines or, with ``--json``, one JSON document.  Exit
 codes: 0 success; 1 usage, parse, or I/O error; 2 infeasible or not found
 (an expected negative answer); 3 budget exhausted; 4 verification failure.
-Every search takes one budget, 10**7 by default; the ``HYPERF_BUDGET``
-variable replaces the default and ``--budget`` overrides both per
-invocation.
+Each command takes only the flags it reads: ``--json`` and ``--quiet``
+everywhere, ``--seed`` on ``gen`` and ``verify``, and ``--budget`` on the
+commands that run a search.  Every search takes one budget, 10**7 by
+default; the ``HYPERF_BUDGET`` variable replaces the default and
+``--budget`` overrides both per invocation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .orient import Infeasible, orient_budget, orient_max_outdeg
 from .extremal import degeneracy, m_value, mad_certificate
 from .fcalc import ThresholdUnknown, bounds, find_tset, packing_bound
 from .ramsey import F_METHODS, b_value, chi_r, f_value
-from .verify import SUITES, verify_suite
+from .verify import run_all, verify_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,22 +58,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument("--seed", type=int, default=1, help="seed for randomized work (default 1)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="search budget override (default: HYPERF_BUDGET or built-in)")
-    common.add_argument("--quiet", action="store_true", help="suppress detail lines")
-    return common
-
-
 def build_parser() -> _Parser:
-    common = _common_flags()
     parser = _Parser(prog="hyperf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    g = sub.add_parser("gen", parents=[common], help="generate a hypergraph")
+    def command(name, func, help, seed=False, budget=False):
+        # --json and --quiet on every command; --seed and --budget only on
+        # the commands that read them
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--json", action="store_true", help="emit one JSON document")
+        if seed:
+            p.add_argument("--seed", type=int, default=1,
+                           help="seed for randomized work (default 1)")
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="search budget override (default: HYPERF_BUDGET or built-in)")
+        p.add_argument("--quiet", action="store_true", help="suppress detail lines")
+        p.set_defaults(func=func)
+        return p
+
+    g = command("gen", _cmd_gen, "generate a hypergraph", seed=True)
     g.add_argument("family", choices=sorted(GENERATORS))
     g.add_argument("--n", type=int, help="number of vertices")
     g.add_argument("--r", type=int, help="edge size")
@@ -79,70 +85,57 @@ def build_parser() -> _Parser:
     g.add_argument("--sizes", help="comma-separated class sizes (multipartite)")
     g.add_argument("-i", "--input", help="input file (join-k2, complement)")
     g.add_argument("-o", "--output", help="output path (default: stdout)")
-    g.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("mad", parents=[common], help="exact maximum average degree")
+    p = command("mad", _cmd_mad, "exact maximum average degree")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_mad)
 
-    p = sub.add_parser("degeneracy", parents=[common], help="degeneracy and elimination order")
+    p = command("degeneracy", _cmd_degeneracy, "degeneracy and elimination order")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_degeneracy)
 
-    p = sub.add_parser("orient", parents=[common],
-                       help="orient with bounded first-position degrees")
+    p = command("orient", _cmd_orient, "orient with bounded first-position degrees")
     p.add_argument("file")
     p.add_argument("--max-outdeg", type=int, help="uniform per-vertex cap")
     p.add_argument("--budget-file", help="per-vertex caps, one 'vertex cap' pair per line")
     p.add_argument("-o", "--output", help="oriented output path (default: stdout)")
-    p.set_defaults(func=_cmd_orient)
 
-    p = sub.add_parser("f", parents=[common], help="minimum everywhere-full p-set count")
+    p = command("f", _cmd_f, "minimum everywhere-full p-set count", budget=True)
     p.add_argument("file")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--method", choices=F_METHODS, default="auto")
-    p.set_defaults(func=_cmd_f)
 
-    p = sub.add_parser("chi-r", parents=[common], help="Ramsey p-chromatic number")
+    p = command("chi-r", _cmd_chi_r, "Ramsey p-chromatic number", budget=True)
     p.add_argument("file")
     p.add_argument("--p", type=int, default=1)
-    p.set_defaults(func=_cmd_chi_r)
 
-    p = sub.add_parser("b", parents=[common], help="largest safely colorable p-set family")
+    p = command("b", _cmd_b, "largest safely colorable p-set family", budget=True)
     p.add_argument("file")
     p.add_argument("--p", type=int, default=1)
-    p.set_defaults(func=_cmd_b)
 
-    p = sub.add_parser("m", parents=[common], help="largest union of r sparse parts")
+    p = command("m", _cmd_m, "largest union of r sparse parts", budget=True)
     p.add_argument("file")
     p.add_argument("--k", type=int, default=1)
-    p.set_defaults(func=_cmd_m)
 
-    p = sub.add_parser("bounds", parents=[common], help="bounds bracketing f(H,1,k)")
+    p = command("bounds", _cmd_bounds, "bounds bracketing f(H,1,k)", budget=True)
     p.add_argument("file")
     p.add_argument("--k", type=int, default=1)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("tset", parents=[common],
-                       help="t-set with all p-subsets everywhere-full (oriented input)")
+    p = command("tset", _cmd_tset, "t-set with all p-subsets everywhere-full (oriented input)",
+                budget=True)
     p.add_argument("file")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_tset)
 
-    p = sub.add_parser("pack", parents=[common], help="greedy packing lower-bound data")
+    p = command("pack", _cmd_pack, "greedy packing lower-bound data", budget=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="block size override")
-    p.set_defaults(func=_cmd_pack)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = command("verify", _cmd_verify, "run a verification suite", seed=True, budget=True)
     p.add_argument("suite", help="suite name or 'all'")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -175,21 +168,32 @@ def _read_hypergraph(path) -> Hypergraph:
 #
 # Each command returns (exit code, JSON payload, text lines) and prints
 # nothing on stdout; main prints the payload under --json and the lines
-# otherwise, leaving out the _Detail lines under --quiet.
+# otherwise, leaving out the _Detail lines under --quiet.  On a command
+# that takes --budget, main has already replaced args.budget by the
+# budget _resolve_budget settles on.
 
 
 class _Detail(str):
     """A text line that --quiet drops."""
 
 
-def _cmd_gen(args, budget):
+# the gen flags that fill a generator parameter and have no default
+_FAMILY_FLAGS = ("n", "r", "m", "sizes", "input")
+
+
+def _cmd_gen(args):
     # each generator parameter is filled from the gen flag of its own name,
-    # except g, the hypergraph read from --input
+    # except g, the hypergraph read from --input; --seed defaults to 1, so
+    # the families without a seed parameter ignore it
     flags = {name: "input" if name == "g" else name
              for name in inspect.signature(GENERATORS[args.family]).parameters}
     missing = [f"--{flag}" for flag in flags.values() if getattr(args, flag) is None]
     if missing:
         raise _UsageError(f"hyperf gen {args.family}: missing {', '.join(missing)}")
+    unexpected = [f"--{flag}" for flag in _FAMILY_FLAGS
+              if flag not in flags.values() and getattr(args, flag) is not None]
+    if unexpected:
+        raise _UsageError(f"hyperf gen {args.family}: unexpected {', '.join(unexpected)}")
     params = {name: getattr(args, flag) for name, flag in flags.items()}
     if "g" in params:
         params["g"] = _read_hypergraph(args.input)
@@ -206,20 +210,20 @@ def _cmd_gen(args, budget):
     return EXIT_OK, h, to_text(h).splitlines()
 
 
-def _cmd_mad(args, budget):
+def _cmd_mad(args):
     value, witness, spread = mad_certificate(_read_hypergraph(args.file))
     return EXIT_OK, {"mad": value, "witness": witness, "spread": spread}, [
         f"{value.numerator}/{value.denominator}",
         _Detail("witness: " + " ".join(map(str, witness)))]
 
 
-def _cmd_degeneracy(args, budget):
+def _cmd_degeneracy(args):
     value, order = degeneracy(_read_hypergraph(args.file))
     return EXIT_OK, {"degeneracy": value, "order": order}, [
         str(value), _Detail("order: " + " ".join(map(str, order)))]
 
 
-def _cmd_orient(args, budget):
+def _cmd_orient(args):
     h = _read_hypergraph(args.file)
     if (args.max_outdeg is None) == (args.budget_file is None):
         raise _UsageError("hyperf orient: give exactly one of --max-outdeg or --budget-file")
@@ -255,37 +259,37 @@ def _read_budget_file(path) -> dict:
     return caps
 
 
-def _cmd_f(args, budget):
-    rep = f_value(_read_hypergraph(args.file), args.p, args.k, budget, args.method)
+def _cmd_f(args):
+    rep = f_value(_read_hypergraph(args.file), args.p, args.k, args.budget, args.method)
     if rep is None:
         print("no closed form applies to this instance", file=sys.stderr)
         return EXIT_NEGATIVE, {"applicable": False, "p": args.p, "k": args.k}, []
     return EXIT_OK, rep, [str(rep.value), _Detail(f"method: {rep.method}")]
 
 
-def _cmd_chi_r(args, budget):
-    value = chi_r(_read_hypergraph(args.file), args.p, budget)
+def _cmd_chi_r(args):
+    value = chi_r(_read_hypergraph(args.file), args.p, args.budget)
     return EXIT_OK, {"chi_r": value, "p": args.p}, [str(value)]
 
 
-def _cmd_b(args, budget):
-    result = b_value(_read_hypergraph(args.file), args.p, budget)
+def _cmd_b(args):
+    result = b_value(_read_hypergraph(args.file), args.p, args.budget)
     colored = " ".join(f"{'-'.join(map(str, pset))}:{c}"
                        for pset, c in sorted(result.coloring.colored.items()))
     return EXIT_OK, {"b": result.value, "p": args.p, "coloring": result.coloring}, [
         str(result.value), _Detail(f"coloring: {colored or '(empty)'}")]
 
 
-def _cmd_m(args, budget):
-    result = m_value(_read_hypergraph(args.file), args.k, budget)
+def _cmd_m(args):
+    result = m_value(_read_hypergraph(args.file), args.k, args.budget)
     payload = {"m": result.value, "k": args.k, "parts": result.parts,
                "remainder": result.remainder}
     return EXIT_OK, payload, [str(result.value)] + [
         _Detail(f"part {i}: " + " ".join(map(str, part))) for i, part in enumerate(result.parts)]
 
 
-def _cmd_bounds(args, budget):
-    rows = bounds(_read_hypergraph(args.file), args.k, budget)
+def _cmd_bounds(args):
+    rows = bounds(_read_hypergraph(args.file), args.k, args.budget)
     lines = []
     for b in rows:
         line = f"{b.name}: {b.side} {b.value}"
@@ -295,19 +299,19 @@ def _cmd_bounds(args, budget):
     return EXIT_OK, {"k": args.k, "bounds": rows}, lines
 
 
-def _cmd_tset(args, budget):
+def _cmd_tset(args):
     obj = read_path(args.file)
     if not isinstance(obj, Orientation):
         raise _UsageError("hyperf tset: input must be an oriented file")
-    found = find_tset(obj, args.p, args.k, args.t, budget)
+    found = find_tset(obj, args.p, args.k, args.t, args.budget)
     if found is None:
         return EXIT_NEGATIVE, {"found": False, "p": args.p, "k": args.k, "t": args.t}, [
             f"no {args.t}-set with all {args.p}-subsets everywhere-full at level {args.k}"]
     return EXIT_OK, {"found": True, "tset": found}, [" ".join(map(str, found))]
 
 
-def _cmd_pack(args, budget):
-    result = packing_bound(args.n, args.r, args.p, args.k, m=args.m, budget=budget)
+def _cmd_pack(args):
+    result = packing_bound(args.n, args.r, args.p, args.k, m=args.m, budget=args.budget)
     lines = [str(result.count)]
     if result.blocks:
         blocks = "; ".join(" ".join(map(str, b)) for b in result.blocks)
@@ -315,9 +319,11 @@ def _cmd_pack(args, budget):
     return EXIT_OK, result, lines
 
 
-def _cmd_verify(args, budget):
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = [verify_suite(name, seed=args.seed, budget=budget) for name in names]
+def _cmd_verify(args):
+    if args.suite == "all":
+        reports = run_all(seed=args.seed, budget=args.budget)
+    else:
+        reports = [verify_suite(args.suite, seed=args.seed, budget=args.budget)]
     lines = []
     for rep in reports:
         lines.append(f"{rep.suite}: {rep.passed} passed, {rep.failed} failed "
@@ -332,7 +338,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code, payload, lines = args.func(args, _resolve_budget(args))
+        if "budget" in vars(args):  # the commands that search, and they alone
+            args.budget = _resolve_budget(args)
+        code, payload, lines = args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

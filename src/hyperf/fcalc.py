@@ -290,32 +290,28 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
     n, r = h.n, h.r
     out = []
 
-    def guarded(fn):
+    def searched(fn):
         try:
-            return fn(), None
+            return fn()
         except BudgetExceeded:
-            return None, "search budget exceeded"
+            return None
 
-    a, why = guarded(lambda: alpha(h, budget))
-    out.append(
-        Bound("independence", "lower", None if a is None else n - a * r * (r * k - r + 1),
-              a is not None, {"alpha": a}, why or "")
-    )
-    bu, why = guarded(lambda: beta(h, r * k - 1, budget))
-    out.append(
-        Bound("degenerate-upper", "upper", None if bu is None else n - bu,
-              bu is not None, {"beta": bu, "d": r * k - 1}, why or "")
-    )
-    bl, why = guarded(lambda: beta(h, r * (k - 1), budget))
-    out.append(
-        Bound("degenerate-lower", "lower", None if bl is None else n - r * bl,
-              bl is not None, {"beta": bl, "d": r * (k - 1)}, why or "")
-    )
-    chi, chi_why = guarded(lambda: chromatic_exact(h, budget))
-    out.append(
-        Bound("chromatic", "lower", None if chi is None else chi - r * (r * (k - 1) + 1),
-              chi is not None, {"chi": chi}, chi_why or "")
-    )
+    def row(name, side, x, value, inputs):
+        # the bound value(x) read from the result x of a search; a search
+        # that ran out (x is None) makes the bound inapplicable
+        if x is None:
+            return Bound(name, side, None, False, inputs, "search budget exceeded")
+        return Bound(name, side, value(x), True, inputs)
+
+    a = searched(lambda: alpha(h, budget))
+    out.append(row("independence", "lower", a, lambda x: n - x * r * (r * k - r + 1), {"alpha": a}))
+    bu = searched(lambda: beta(h, r * k - 1, budget))
+    out.append(row("degenerate-upper", "upper", bu, lambda x: n - x, {"beta": bu, "d": r * k - 1}))
+    bl = searched(lambda: beta(h, r * (k - 1), budget))
+    out.append(row("degenerate-lower", "lower", bl, lambda x: n - r * x,
+                   {"beta": bl, "d": r * (k - 1)}))
+    chi = searched(lambda: chromatic_exact(h, budget))
+    out.append(row("chromatic", "lower", chi, lambda x: x - r * (r * (k - 1) + 1), {"chi": chi}))
     if r == 2 and n > 0:
         avg = Fraction(2 * h.e, n)
         if avg >= 4 * k - 2:
@@ -325,21 +321,15 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
             out.append(Bound("average-degree", "upper", None, False, {"avg_degree": avg},
                              f"needs average degree >= 4k-2 = {4 * k - 2}"))
         if k == 1:
-            out.append(Bound("independence-upper", "upper",
-                             None if a is None else n - a, a is not None,
-                             {"alpha": a}, "" if a is not None else "search budget exceeded"))
-            if chi is None:
-                out.append(Bound("chromatic-ratio", "upper", None, False,
-                                 {}, chi_why or ""))
-            elif chi >= 2:
-                out.append(Bound("chromatic-ratio", "upper", (chi - 2) * n // chi,
-                                 True, {"chi": chi}))
-            else:
+            out.append(row("independence-upper", "upper", a, lambda x: n - x, {"alpha": a}))
+            if chi is not None and chi < 2:
                 out.append(Bound("chromatic-ratio", "upper", None, False,
                                  {"chi": chi}, "needs at least one edge"))
-            ht, why = guarded(lambda: hit_triangles(h, budget))
-            out.append(Bound("triangle-hitting", "lower", ht, ht is not None,
-                             {"hitting_number": ht}, why or ""))
+            else:
+                out.append(row("chromatic-ratio", "upper", chi, lambda x: (x - 2) * n // x,
+                               {} if chi is None else {"chi": chi}))
+            ht = searched(lambda: hit_triangles(h, budget))
+            out.append(row("triangle-hitting", "lower", ht, lambda x: x, {"hitting_number": ht}))
         if n >= 1:
             degs = h.degrees()
             delta = min(degs)

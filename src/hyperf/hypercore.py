@@ -83,11 +83,11 @@ def _check_count(name: str, value, least: int, error: type[HyperfError] = BadPar
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_index(name: str, value, size: int):
+def _check_index(name: str, value, size: int, error: type[HyperfError] = BadParams):
     """The one rule for an index argument outside an edge (a position, a
-    part vertex, a colour): an integer in 0..size-1."""
+    part vertex, a p-set vertex, a colour): an integer in 0..size-1."""
     if not isinstance(value, int) or not (0 <= value < size):
-        raise BadParams(f"{name} must be an integer in 0..{size - 1}, got {value!r}")
+        raise error(f"{name} must be an integer in 0..{size - 1}, got {value!r}")
 
 
 def _check_p(p: int, r: int):
@@ -226,8 +226,7 @@ def _check_pset(pset: Sequence[int], n: int, r: int) -> tuple[int, ...]:
     if not (1 <= p <= r - 1):
         raise BadPSet(f"p-set size must be in 1..{r - 1}, got {t}")
     for v in t:  # before sorting, which a non-integer vertex may break
-        if not isinstance(v, int) or not (0 <= v < n):
-            raise BadPSet(f"p-set vertex {v} not in 0..{n - 1}")
+        _check_index("p-set vertex", v, n, BadPSet)
     if list(t) != sorted(set(t)):
         raise BadPSet(f"p-set {t} must be sorted and distinct")
     return t

@@ -27,8 +27,8 @@ from hyperf import (
     to_text,
     write_path,
 )
-import hyperf.cli
 import hyperf.ramsey
+import hyperf.verify
 from hyperf.cli import main
 from hyperf.hypercore import GENERATORS, max_coordinate, orientation_from_rows
 from hyperf.verify import SUITES, CheckResult, VerifySuiteReport
@@ -311,6 +311,31 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     assert main(["m", str(src), "--k", "1"]) == 1
 
 
+def test_a_command_takes_only_the_flags_it_reads(tmp_path, capsys, monkeypatch):
+    # HYPERF_BUDGET reaches the commands that search, and a flag that a
+    # command does not read is a usage error
+    src = tmp_path / "k4.hg"
+    write_path(complete(4, 2), src)
+    assert main(["mad", str(src)]) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setenv("HYPERF_BUDGET", "abc")
+    assert main(["mad", str(src)]) == 0
+    assert capsys.readouterr() == plain
+    assert main(["m", str(src)]) == 1
+    assert capsys.readouterr().err == "HYPERF_BUDGET must be an integer >= 0, got 'abc'\n"
+    monkeypatch.delenv("HYPERF_BUDGET")
+    # on orient, argparse takes --budget for an abbreviated --budget-file
+    assert main(["orient", str(src), "--budget", "3", "--max-outdeg", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "hyperf orient: give exactly one of --max-outdeg or --budget-file\n")
+    for argv in (["mad", str(src), "--seed", "2"], ["chi-r", str(src), "--p", "2", "--seed", "5"],
+                 ["degeneracy", str(src), "--budget", "9"],
+                 ["gen", "complete", "--n", "4", "--r", "3", "--budget", "2"]):
+        assert main(argv) == 1
+        unread = " ".join(argv[-2:])
+        assert capsys.readouterr() == ("", f"hyperf: unrecognized arguments: {unread}\n")
+
+
 def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
     src = tmp_path / "k5.hg"
     write_path(complete(5, 3), src)
@@ -389,7 +414,7 @@ def test_json_payload_keys(tmp_path, capsys, argv, code, keys):
 
 def test_json_verify_all_lists_the_suites(capsys, monkeypatch):
     two = {name: SUITES[name] for name in ("multipartite", "ramsey-chi")}
-    monkeypatch.setattr(hyperf.cli, "SUITES", two)
+    monkeypatch.setattr(hyperf.verify, "SUITES", two)  # what run_all reads
     payload = _json_of(capsys, ["verify", "all"])
     assert set(payload) == {"suites"}
     assert [rep["suite"] for rep in payload["suites"]] == ["multipartite", "ramsey-chi"]
@@ -513,6 +538,26 @@ def test_gen_builds_every_family_from_its_flags(tmp_path, capsys, family):
     assert capsys.readouterr() == ("", f"hyperf gen {family}: missing {needed}\n")
 
 
+# a value for each family flag that some generator reads
+_FAMILY_VALUES = {"--n": "5", "--r": "3", "--m": "2", "--sizes": "2,2", "--input": "{g}"}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_gen_refuses_the_family_flags_its_generator_does_not_read(tmp_path, capsys, family):
+    flags, _, _ = _GEN_FAMILIES[family]
+    write_path(canonicalize([(0, 1), (1, 2)], 4, 2), tmp_path / "g.hg")
+    given = {"--input" if f == "-i" else f for f in flags}
+    extra = [f for f in _FAMILY_VALUES if f not in given]
+    assert extra
+    for flag in extra:
+        argv = ["gen", family, *flags, flag, _FAMILY_VALUES[flag]]
+        assert main([f.format(g=tmp_path / "g.hg") for f in argv]) == 1
+        assert capsys.readouterr() == ("", f"hyperf gen {family}: unexpected {flag}\n")
+    argv = ["gen", family, *flags, *(x for f in extra for x in (f, _FAMILY_VALUES[f]))]
+    assert main([f.format(g=tmp_path / "g.hg") for f in argv]) == 1
+    assert capsys.readouterr().err == f"hyperf gen {family}: unexpected {', '.join(extra)}\n"
+
+
 def test_gen_multipartite_rejects_non_integer_sizes(capsys):
     assert main(["gen", "multipartite", "--sizes", "3,x"]) == 1
     err = capsys.readouterr().err
@@ -530,6 +575,38 @@ def test_budget_file_rejects_a_repeated_vertex(tmp_path, capsys):
     caps.write_text("0 2\n1 1\n2 0\n0 0\n", encoding="utf-8")
     assert main(["orient", str(src), "--budget-file", str(caps)]) == 1
     assert f"{caps}:4: vertex 0 already has a cap" in capsys.readouterr().err
+
+
+def test_budget_file_rejects_a_malformed_line(tmp_path, capsys):
+    src = tmp_path / "k3.hg"
+    write_path(complete(3, 2), src)
+    caps = tmp_path / "caps.txt"
+    for bad in ("1 x", "1", "1 2 3"):
+        caps.write_text(f"# caps\n0 2\n{bad}\n", encoding="utf-8")
+        assert main(["orient", str(src), "--budget-file", str(caps)]) == 1
+        assert capsys.readouterr() == ("", f"{caps}:3: expected 'vertex cap', got {bad!r}\n")
+
+
+def test_hypergraph_commands_read_the_base_of_an_oriented_file(tmp_path, capsys):
+    # an oriented file stands for its hypergraph wherever no orientation is read
+    g = canonicalize([(0, 1), (1, 2), (2, 3), (0, 2)], 5, 2)
+    write_path(g, tmp_path / "g.hg")
+    write_path(orientation_from_rows([(1, 0), (2, 1), (3, 2), (2, 0)], 5, 2), tmp_path / "g.or")
+    for argv in (["mad"], ["degeneracy"], ["orient", "--max-outdeg", "1"], ["f", "--k", "2"],
+                 ["chi-r"], ["b"], ["m"], ["bounds"]):
+        outs = []
+        for name in ("g.hg", "g.or"):
+            assert main([argv[0], str(tmp_path / name), *argv[1:], "--json"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1], argv
+
+
+def test_budget_exit_prints_the_bracket(tmp_path, capsys):
+    src = tmp_path / "k63.hg"
+    write_path(complete(6, 3), src)
+    assert main(["chi-r", str(src), "--p", "2", "--budget", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "budget exhausted: coloring search exceeded 1 nodes\nbracket: [2, 5]\n")
 
 
 def test_non_utf8_input_file_is_one_line_error(tmp_path, capsys):

@@ -23,6 +23,7 @@ from hyperf import (
     complete,
     complete_multipartite,
     complete_part_size,
+    degree_vectors,
     edge_bound,
     f_bruteforce,
     f_count,
@@ -167,6 +168,24 @@ def test_bounds_bracket_exact_value():
                     assert exact <= b.value, (b.name, exact)
 
 
+def test_bounds_whose_search_runs_out_are_inapplicable():
+    # C5: the clique bound 2 and the greedy bound 3 differ, so the chromatic
+    # search really runs; with no budget every searched row gives up, while
+    # triangle-hitting, with no triangle to hit, searches nothing
+    c5 = canonicalize([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5, 2)
+    rows = {b.name: b for b in bounds(c5, 1, budget=0)}
+    searched = ["independence", "degenerate-upper", "degenerate-lower", "chromatic",
+                "independence-upper", "chromatic-ratio"]
+    for name in searched:
+        assert (rows[name].value, rows[name].applicable, rows[name].note) == (
+            None, False, "search budget exceeded"), name
+    assert rows["chromatic"].inputs == {"chi": None}
+    assert (rows["triangle-hitting"].value, rows["triangle-hitting"].applicable) == (0, True)
+    full = {b.name: b for b in bounds(c5, 1)}
+    assert all(full[name].applicable for name in searched)
+    assert full["chromatic"].inputs == {"chi": 3}
+
+
 def test_edge_bound_values():
     b = edge_bound(9, 3, 1)
     assert (b.value, b.capped) == (81, False)
@@ -242,6 +261,30 @@ def test_find_tset_examples():
     assert find_tset(transitive, 1, 1, 0) == ()
     assert find_tset(transitive, 1, 1, 5) is None
     assert find_tset(ascending_orientation(complete(7, 3)), 1, 1, 1) == (2,)
+
+
+def _tset_by_scan(d, p, k, t):
+    # the lexicographically first t-set whose p-subsets all have every
+    # coordinate >= k, by trying every t-set in order
+    full = {a for a, vec in degree_vectors(d, p).items() if min(vec) >= k}
+    return next((s for s in itertools.combinations(range(d.base.n), t)
+                 if all(a in full for a in itertools.combinations(s, p))), None)
+
+
+def test_find_tset_search_agrees_with_a_subset_scan():
+    # at p = 2 the search recurses; on these orientations it finds t-sets
+    # of size 3 and 4
+    found = set()
+    for n in (6, 7):
+        for seed in range(4):
+            d = random_orientation(complete(n, 3), seed)
+            for t in range(n + 2):
+                got = find_tset(d, 2, 1, t)
+                assert got == _tset_by_scan(d, 2, 1, t), (n, seed, t)
+                if got is not None:
+                    found.add(len(got))
+    assert {3, 4} <= found
+    assert find_tset(random_orientation(complete(6, 3), 0), 2, 1, 4) == (0, 1, 3, 5)
 
 
 def test_find_tset_stops_at_its_budget():

@@ -3,17 +3,20 @@ no function imports anything, every private top-level function or class,
 and every private method, is referenced somewhere, every search
 defaults to the one node budget, every JSON document comes from one
 encoder, the verify suites share one harness, one helper checks a count
-argument, one function in cli.py writes stdout, ramsey.f_value alone chooses a
-route for f, no search enumerates all C(n,p) p-sets, hypercore alone
-recounts full p-sets and numbers the touched ones, the Hypergraph
-constructor alone checks and sorts edges, and every library name and
-traced method that perfbench refers to exists."""
+argument, one function in cli.py writes stdout, each CLI command takes
+only the flags it reads, ramsey.f_value alone chooses a route for f, no
+search enumerates all C(n,p) p-sets, hypercore alone recounts full p-sets
+and numbers the touched ones, the Hypergraph constructor alone checks
+and sorts edges, and every library name and traced method that perfbench
+refers to exists."""
 
+import argparse
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+from hyperf.cli import build_parser
 from hyperf.hypercore import DEFAULT_NODE_BUDGET
 from hyperf.orient import orient_from_partition
 from hyperf.verify import SUITES
@@ -187,6 +190,18 @@ def test_one_level_check():
         if "must be an integer" in path.read_text(encoding="utf-8")
     ]
     assert holders == ["hypercore.py"]
+    # an edge's vertex keeps its own words in _check_edge; every other range
+    # refusal goes through _check_index (netflow's node check, the flow
+    # kernel's own input, says "out of range")
+    ranges = sorted({
+        f"{name}:{func.name}"
+        for name, tree in _parsed_sources().items()
+        for func in tree.body
+        if isinstance(func, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Constant) and "not in 0.." in str(node.value)
+    })
+    assert ranges == ["hypercore.py:_check_edge"]
 
     def count(node):
         return isinstance(node, ast.Name) and node.id in _COUNT_NAMES
@@ -235,6 +250,26 @@ def test_one_cli_printer():
         if isinstance(node, ast.Call) and to_stdout(node)
     }
     assert writers == {"main"}
+
+
+def test_each_command_takes_the_flags_it_reads():
+    # --budget exactly on the commands whose _cmd_* reads args.budget (main
+    # resolves HYPERF_BUDGET for those alone), --seed on gen and verify, and
+    # --json and --quiet everywhere
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings}
+             for name, sub in commands.items()}
+    reads_budget = {
+        name for name, sub in commands.items()
+        if any(isinstance(node, ast.Attribute) and ast.unparse(node) == "args.budget"
+               for node in ast.walk(ast.parse(inspect.getsource(sub.get_default("func")))))
+    }
+    assert len(commands) == 12
+    assert {name for name in commands if "--budget" in flags[name]} == reads_budget == {
+        "f", "chi-r", "b", "m", "bounds", "tset", "pack", "verify"}
+    assert {name for name in commands if "--seed" in flags[name]} == {"gen", "verify"}
+    assert all({"--json", "--quiet"} <= opts for opts in flags.values())
 
 
 # the exact routes for f that ramsey.f_value chooses among

@@ -192,7 +192,7 @@ def test_placements_match_the_general_formula():
 
 def test_degree_vector_rejects_a_non_integer_vertex():
     # 1.5 passes the range test 0 <= v < n but is no vertex
-    with pytest.raises(BadPSet, match=r"p-set vertex 1.5 not in 0\.\.3"):
+    with pytest.raises(BadPSet, match=r"p-set vertex must be an integer in 0\.\.3, got 1\.5"):
         degree_vector(ascending_orientation(complete(4, 3)), (1.5,))
     with pytest.raises(BadPSet, match="p-set 5 is not a sequence of vertices"):
         degree_vector(ascending_orientation(complete(4, 3)), 5)
@@ -519,6 +519,10 @@ def test_every_count_argument_is_listed():
     (lambda: PSetColoring(1, 2, {(0,): 2}), BadParams, "color of (0,) must be an integer in 0..1, got 2"),
     (lambda: orient_forbidden(_K43, {(0,): "x"}, 1), BadParams,
      "color of (0,) must be an integer in 0..2, got 'x'"),
+    (lambda: degree_vector(_D43, (0, 9)), BadPSet,
+     "p-set vertex must be an integer in 0..3, got 9"),
+    (lambda: degree_vector(_D43, (0, 1, 2)), BadPSet, "p-set size must be in 1..2, got (0, 1, 2)"),
+    (lambda: degree_vector(_D43, ()), BadPSet, "p-set size must be in 1..2, got ()"),
 ])
 def test_malformed_structured_input_is_a_hyperf_error(build, error, message):
     # malformed input names its fault in a HyperfError, never a TypeError, and
