@@ -59,13 +59,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hyperf", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="hyperf", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def command(name, func, help, seed=False, budget=False):
         # --json and --quiet on every command; --seed and --budget only on
-        # the commands that read them
-        p = sub.add_parser(name, help=help)
+        # the commands that read them; each flag has its one full spelling
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         if seed:
             p.add_argument("--seed", type=int, default=1,

@@ -307,7 +307,8 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
     out.append(row("independence", "lower", a, lambda x: n - x * r * (r * k - r + 1), {"alpha": a}))
     bu = searched(lambda: beta(h, r * k - 1, budget))
     out.append(row("degenerate-upper", "upper", bu, lambda x: n - x, {"beta": bu, "d": r * k - 1}))
-    bl = searched(lambda: beta(h, r * (k - 1), budget))
+    # at k = 1 the cap-0 search is alpha's: an independent set is 0-degenerate
+    bl = a if k == 1 else searched(lambda: beta(h, r * (k - 1), budget))
     out.append(row("degenerate-lower", "lower", bl, lambda x: n - r * x,
                    {"beta": bl, "d": r * (k - 1)}))
     chi = searched(lambda: chromatic_exact(h, budget))
@@ -327,7 +328,7 @@ def bounds(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Bou
                                  {"chi": chi}, "needs at least one edge"))
             else:
                 out.append(row("chromatic-ratio", "upper", chi, lambda x: (x - 2) * n // x,
-                               {} if chi is None else {"chi": chi}))
+                               {"chi": chi}))
             ht = searched(lambda: hit_triangles(h, budget))
             out.append(row("triangle-hitting", "lower", ht, lambda x: x, {"hitting_number": ht}))
         if n >= 1:

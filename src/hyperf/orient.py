@@ -155,20 +155,12 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
     _check_count("k", k, 1)
     if len(parts) > h.r:
         raise BadParams(f"at most r={h.r} parts allowed, got {len(parts)}")
-    psets = [list(part) for part in parts]  # each part read once
-    try:
-        part_of = {v: i for i, part in enumerate(psets) for v in part}
-    except TypeError:  # an unhashable vertex, which the scan below names
-        part_of = {}
-    if (len(part_of) < sum(map(len, psets))
-            or not all(issubclass(t, int) for t in set(map(type, part_of)))
-            or any(min(part) < 0 or max(part) >= h.n for part in psets if part)):
-        seen = {}  # the first offending vertex in part order names the error
-        for i, part in enumerate(psets):
-            for v in part:
-                _check_index("part vertex", v, h.n)
-                if seen.setdefault(v, i) != i:
-                    raise PartsNotDisjoint(f"vertex {v} is in two parts")
+    part_of = {}  # each part read once; the first bad vertex in part order names the error
+    for i, part in enumerate(parts):
+        for v in part:
+            _check_index("part vertex", v, h.n)
+            if part_of.setdefault(v, i) != i:
+                raise PartsNotDisjoint(f"vertex {v} is in two parts")
 
     # per edge the part each vertex is in, or -1; the part an edge lies inside, or -1
     get, unplaced = part_of.get, (-1,) * h.r
@@ -205,14 +197,18 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
 @lru_cache(maxsize=1 << 14)
 def _pattern_order(bar: tuple[int, ...]) -> tuple[int, ...] | None:
     """The pattern table: for the pattern bar (index i barred from position
-    bar[i], or -1), the first ordering of the indices that puts no index
-    at its barred position, or None.  It fills as patterns are met; 2**14
-    entries hold all (r+1)**r patterns for every r up to 5.
+    bar[i], or -1), the lexicographically first ordering of the indices
+    that puts no index at its barred position, or None.  It fills as
+    patterns are met; 2**14 entries hold all (r+1)**r patterns for every r
+    up to 5, so the table stays bounded however many patterns arrive.
 
-    Each index bars at most one position, so the unused indices fit the
-    unfilled positions unless all of them are barred from one same later
-    position; position j takes the lowest allowed index that avoids that.
-    Only a pattern barring every index from one position has no ordering.
+    A scan of the r! orderings would state this directly but can try
+    nearly all of them before one fits, so the ordering is built one
+    position at a time in O(r**3) steps.  Each index bars at most one
+    position, so the unused indices fit the unfilled positions unless all
+    of them are barred from one same later position; position j takes the
+    lowest allowed index that avoids that.  Only a pattern barring every
+    index from one position has no ordering.
     """
     left = list(range(len(bar)))
     order = []

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from test_extremal import _planted_dense_3graph
@@ -324,13 +325,13 @@ def test_a_command_takes_only_the_flags_it_reads(tmp_path, capsys, monkeypatch):
     assert main(["m", str(src)]) == 1
     assert capsys.readouterr().err == "HYPERF_BUDGET must be an integer >= 0, got 'abc'\n"
     monkeypatch.delenv("HYPERF_BUDGET")
-    # on orient, argparse takes --budget for an abbreviated --budget-file
-    assert main(["orient", str(src), "--budget", "3", "--max-outdeg", "1"]) == 1
-    assert capsys.readouterr().err == (
-        "hyperf orient: give exactly one of --max-outdeg or --budget-file\n")
+    # nor is a prefix of a flag taken for the flag: --budget is not
+    # --budget-file, --max not --max-outdeg, --meth not --method
     for argv in (["mad", str(src), "--seed", "2"], ["chi-r", str(src), "--p", "2", "--seed", "5"],
                  ["degeneracy", str(src), "--budget", "9"],
-                 ["gen", "complete", "--n", "4", "--r", "3", "--budget", "2"]):
+                 ["gen", "complete", "--n", "4", "--r", "3", "--budget", "2"],
+                 ["orient", str(src), "--budget", "caps.txt"], ["orient", str(src), "--max", "1"],
+                 ["f", str(src), "--meth", "brute"]):
         assert main(argv) == 1
         unread = " ".join(argv[-2:])
         assert capsys.readouterr() == ("", f"hyperf: unrecognized arguments: {unread}\n")
@@ -587,6 +588,13 @@ def test_budget_file_rejects_a_malformed_line(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"{caps}:3: expected 'vertex cap', got {bad!r}\n")
 
 
+def test_empty_input_file_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "empty.hg"
+    src.write_text("# no header\n", encoding="utf-8")
+    assert main(["mad", str(src)]) == 1
+    assert capsys.readouterr() == ("", "empty input\n")
+
+
 def test_hypergraph_commands_read_the_base_of_an_oriented_file(tmp_path, capsys):
     # an oriented file stands for its hypergraph wherever no orientation is read
     g = canonicalize([(0, 1), (1, 2), (2, 3), (0, 2)], 5, 2)
@@ -645,6 +653,20 @@ def test_verify_failure_exit_four(capsys, monkeypatch):
     assert main(["verify", "doomed"]) == 4
     out = capsys.readouterr().out
     assert "1 failed" in out and "FAIL x" in out
+
+
+@pytest.mark.parametrize("suite, name, wrong, seen", [
+    ("hakimi", "max_coordinate", lambda d, i: 99, "k=0 bound not attained"),
+    ("hakimi", "mad_bruteforce", lambda h: -1, "k=0 feasibility mismatch"),
+    ("accounting", "f_count", lambda d, p, k: k, "p=1 count not monotone in k"),
+    ("complement", "f_via_m", lambda g, k, budget: SimpleNamespace(value=-1), "'mismatches': 100"),
+])
+def test_a_suite_catches_a_wrong_route(suite, name, wrong, seen, capsys, monkeypatch):
+    # one route made to answer wrongly fails checks, and `hyperf verify` exits 4
+    monkeypatch.setattr(hyperf.verify, name, wrong)
+    assert hyperf.verify.verify_suite(suite).failed > 0
+    assert main(["verify", suite]) == 4
+    assert seen in capsys.readouterr().out
 
 
 def test_verify_hakimi_json_prints_mad_as_a_fraction(capsys):

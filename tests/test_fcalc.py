@@ -168,22 +168,37 @@ def test_bounds_bracket_exact_value():
                     assert exact <= b.value, (b.name, exact)
 
 
-def test_bounds_whose_search_runs_out_are_inapplicable():
+def test_bounds_whose_search_runs_out_are_inapplicable(monkeypatch):
     # C5: the clique bound 2 and the greedy bound 3 differ, so the chromatic
-    # search really runs; with no budget every searched row gives up, while
-    # triangle-hitting, with no triangle to hit, searches nothing
+    # search really runs; with no budget every searched row gives up, keeping
+    # its input keys, while triangle-hitting, with no triangle to hit,
+    # searches nothing.  Each distinct search runs once: at k = 1 the
+    # degenerate-lower search is alpha's, so beta runs only for d = rk-1.
+    calls, real_beta = [], hyperf.fcalc.beta
+
+    def beta(h, d, budget):
+        calls.append(d)
+        return real_beta(h, d, budget)
+
+    monkeypatch.setattr(hyperf.fcalc, "beta", beta)
     c5 = canonicalize([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5, 2)
     rows = {b.name: b for b in bounds(c5, 1, budget=0)}
-    searched = ["independence", "degenerate-upper", "degenerate-lower", "chromatic",
-                "independence-upper", "chromatic-ratio"]
-    for name in searched:
-        assert (rows[name].value, rows[name].applicable, rows[name].note) == (
-            None, False, "search budget exceeded"), name
-    assert rows["chromatic"].inputs == {"chi": None}
+    assert calls == [1]
+    searched = {"independence": {"alpha": None}, "degenerate-upper": {"beta": None, "d": 1},
+                "degenerate-lower": {"beta": None, "d": 0}, "chromatic": {"chi": None},
+                "independence-upper": {"alpha": None}, "chromatic-ratio": {"chi": None}}
+    for name, inputs in searched.items():
+        assert (rows[name].value, rows[name].applicable, rows[name].note, rows[name].inputs) == (
+            None, False, "search budget exceeded", inputs), name
     assert (rows["triangle-hitting"].value, rows["triangle-hitting"].applicable) == (0, True)
     full = {b.name: b for b in bounds(c5, 1)}
     assert all(full[name].applicable for name in searched)
     assert full["chromatic"].inputs == {"chi": 3}
+    assert full["degenerate-lower"].inputs == {"beta": full["independence"].inputs["alpha"], "d": 0}
+    calls.clear()
+    rows = {b.name: b for b in bounds(c5, 2, budget=0)}
+    assert calls == [3, 2]
+    assert rows["degenerate-lower"].inputs == {"beta": None, "d": 2}
 
 
 def test_edge_bound_values():

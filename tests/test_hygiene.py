@@ -254,8 +254,8 @@ def test_one_cli_printer():
 
 def test_each_command_takes_the_flags_it_reads():
     # --budget exactly on the commands whose _cmd_* reads args.budget (main
-    # resolves HYPERF_BUDGET for those alone), --seed on gen and verify, and
-    # --json and --quiet everywhere
+    # resolves HYPERF_BUDGET for those alone), --seed on gen and verify,
+    # --json and --quiet everywhere, and no flag taken by a prefix
     commands = next(action for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
     flags = {name: {opt for action in sub._actions for opt in action.option_strings}
@@ -270,6 +270,8 @@ def test_each_command_takes_the_flags_it_reads():
         "f", "chi-r", "b", "m", "bounds", "tset", "pack", "verify"}
     assert {name for name in commands if "--seed" in flags[name]} == {"gen", "verify"}
     assert all({"--json", "--quiet"} <= opts for opts in flags.values())
+    assert not build_parser().allow_abbrev
+    assert not any(sub.allow_abbrev for sub in commands.values())
 
 
 # the exact routes for f that ramsey.f_value chooses among

@@ -523,6 +523,15 @@ def test_every_count_argument_is_listed():
      "p-set vertex must be an integer in 0..3, got 9"),
     (lambda: degree_vector(_D43, (0, 1, 2)), BadPSet, "p-set size must be in 1..2, got (0, 1, 2)"),
     (lambda: degree_vector(_D43, ()), BadPSet, "p-set size must be in 1..2, got ()"),
+    (lambda: from_text("# nothing\n\n"), FormatError, "empty input"),
+    (lambda: from_text("hypergraph n=x r=2\n"), FormatError, "bad header line 'hypergraph n=x r=2'"),
+    (lambda: from_text("hypergraph m=3 r=2\n"), FormatError, "bad header line 'hypergraph m=3 r=2'"),
+    (lambda: from_text("hypergraph n=3 r=2\ne 0 x\n"), FormatError, "non-integer vertex in 'e 0 x'"),
+    (lambda: random_hypergraph(4, 2, 7, 1), BadParams, "need m <= C(4,2) = 6, got m=7"),
+    (lambda: join_k2(_K43), BadParams, "join_k2 is defined for graphs (r=2)"),
+    (lambda: complement(_K43), BadParams, "complement is defined for graphs (r=2)"),
+    (lambda: to_text(5), BadParams, "cannot serialize int"),
+    (lambda: hit_triangles(_K43), BadParams, "hit_triangles is defined for graphs (r=2)"),
 ])
 def test_malformed_structured_input_is_a_hyperf_error(build, error, message):
     # malformed input names its fault in a HyperfError, never a TypeError, and

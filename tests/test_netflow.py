@@ -91,7 +91,20 @@ def test_add_arcs_validates_before_adding():
         net.add_arcs([0, 1, 3], [1, 2, 0], [1, 1, 1])
     with pytest.raises(BadParams, match="negative capacity -1"):
         net.add_arcs([0, 1], [1, 2], [1, -1])
+    with pytest.raises(BadParams, match="2 tails, 1 heads and 2 capacities"):
+        net.add_arcs([0, 1], [2], [1, 1])
     assert net.add_arc(0, 2, 1) == 0
+
+
+def test_network_refuses_bad_terminals_and_arc_ids():
+    for nodes, source, sink in ((3, 0, 3), (3, -1, 2), (3, 1, 1)):
+        with pytest.raises(BadParams, match=f"bad source/sink {source}/{sink} for {nodes} nodes"):
+            FlowNetwork(nodes, source, sink)
+    net = FlowNetwork(3, 0, 2)
+    net.add_arcs([0, 1], [1, 2], [1, 1])
+    for arc in (1, 4, -2):  # a reverse arc, past the last arc, negative
+        with pytest.raises(BadParams, match=f"{arc} is not a forward arc id"):
+            net.flow_on(arc)
 
 
 def test_max_flow_needs_few_phases(monkeypatch):

@@ -221,6 +221,17 @@ def test_lowest_order_pattern_table_matches_permutation_scan():
     assert seen == 8474
 
 
+def test_pattern_table_fills_an_edge_of_size_twelve_position_by_position():
+    # a scan of the 12! orderings would try 11 * 11! of them before (11, 0, ..., 10)
+    h = complete(12, 12)
+    want = ((11, *range(11)),)
+    assert orient_from_partition(h, 1, [list(range(11)), [11]]).orders == want
+    assert orient_forbidden(h, {(v,): 0 for v in range(11)}, 1).orders == want
+    with pytest.raises(StuckEdge) as err:
+        orient_forbidden(h, {(v,): 0 for v in range(12)}, 1)
+    assert err.value.edge == tuple(range(12))
+
+
 def test_forbidden_coordinates_vertex_case():
     d = orient_forbidden(complete(3, 2), {(0,): 0, (1,): 1}, 1)
     assert d.orders == ((1, 0), (2, 0), (1, 2))
