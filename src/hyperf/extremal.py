@@ -26,11 +26,12 @@ from typing import Iterable
 
 from .hypercore import (
     DEFAULT_NODE_BUDGET,
-    BadParams,
     BudgetExceeded,
     Hypergraph,
     HyperfError,
     _check_count,
+    _check_graph,
+    _neighbours,
 )
 from .netflow import FlowNetwork
 from .orient import _reorient
@@ -249,10 +250,7 @@ def szekeres_wilf_coloring(h: Hypergraph) -> list[int]:
 
 
 def _greedy_clique(h: Hypergraph) -> int:
-    adj = [set() for _ in range(h.n)]
-    for u, w in h.edges:
-        adj[u].add(w)
-        adj[w].add(u)
+    adj = _neighbours(h)
     order = sorted(range(h.n), key=lambda v: (-len(adj[v]), v))
     clique: set[int] = set()
     for v in order:
@@ -505,12 +503,9 @@ def hit_triangles(g: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     BudgetExceeded carries the smallest hitting set found as `best`.
     """
     _check_count("budget", budget, 0)
-    if g.r != 2:
-        raise BadParams("hit_triangles is defined for graphs (r=2)")
-    later = [set() for _ in range(g.n)]  # the neighbours above each vertex
-    for u, w in g.edges:
-        later[u].add(w)
-    tris = [(u, w, x) for u, w in g.edges for x in later[u] & later[w]]
+    _check_graph(g, "hit_triangles")
+    adj = _neighbours(g)
+    tris = [(u, w, x) for u, w in g.edges for x in adj[u] & adj[w] if x > w]  # each once, u < w < x
     if not tris:
         return 0
     try:

@@ -27,6 +27,7 @@ from .hypercore import (
     _check_p,
     _check_sizes,
     _full_psets,
+    _neighbours,
     _placements,
     _touched_psets,
     ascending_orientation,
@@ -207,11 +208,7 @@ def _multipartite_sizes(g: Hypergraph):
     """
     if g.r != 2:
         return None
-    adjacent = [set() for _ in range(g.n)]
-    for a, b in g.edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    keys = [frozenset(s) for s in adjacent]
+    keys = [frozenset(s) for s in _neighbours(g)]
     groups = Counter(keys)
     if any(len(key) != g.n - groups[key] for key in keys):
         return None
@@ -419,26 +416,28 @@ def find_tset(d: Orientation, p: int, k: int, t: int, budget: int = DEFAULT_NODE
     if p == 1:
         verts = [v for v in range(h.n) if (v,) in good]
         return tuple(verts[:t]) if len(verts) >= t else None
-    counter = [0]
+    # depth-first over ascending prefixes, one node per prefix visited;
+    # v is the next vertex to try after the prefix `chosen`
+    chosen: list[int] = []
+    v = nodes = 0
 
-    def rec(cur, start):
-        counter[0] += 1
-        if counter[0] > budget:
+    def fits(u):  # u, above every chosen vertex, makes only good p-sets with them
+        return all(sub + (u,) in good for sub in combinations(chosen, p - 1))
+
+    while True:
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceeded(f"t-set search exceeded {budget} nodes")
-        if len(cur) == t:
-            return tuple(cur)
-        if len(cur) + (h.n - start) < t:
-            return None
-        for v in range(start, h.n):
-            if all(tuple(sorted(sub + (v,))) in good for sub in combinations(cur, p - 1)):
-                cur.append(v)
-                res = rec(cur, v + 1)
-                if res is not None:
-                    return res
-                cur.pop()
-        return None
-
-    return rec([], 0)
+        if len(chosen) == t:
+            return tuple(chosen)
+        if len(chosen) + (h.n - v) < t:
+            v = h.n  # too few vertices left to finish: try none
+        while (v := next(filter(fits, range(v, h.n)), None)) is None:
+            if not chosen:
+                return None
+            v = chosen.pop() + 1  # back to the parent, past the vertex it had chosen
+        chosen.append(v)
+        v += 1
 
 
 # -------------------------------------------------------------------- packing

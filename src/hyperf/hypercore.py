@@ -26,7 +26,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -159,8 +159,8 @@ def _check_edge(e: Sequence[int], n: int, r: int):
     if size != r:
         raise BadParams(f"edge {tuple(e)} does not have {r} vertices")
     for v in e:
-        if not isinstance(v, int) or not (0 <= v < n):
-            raise VertexOutOfRange(f"vertex {v!r} not in 0..{n - 1}")
+        if not isinstance(v, int) or not (0 <= v < n):  # inline: this runs on every vertex
+            _check_index("vertex", v, n, VertexOutOfRange)
     if len(set(e)) != r:
         raise RepeatedVertexInEdge(f"repeated vertex in edge {tuple(e)}")
 
@@ -319,19 +319,10 @@ def complete(n: int, r: int) -> Hypergraph:
 def complete_multipartite(sizes: Sequence[int]) -> Hypergraph:
     """Complete multipartite graph; classes are consecutive vertex ranges."""
     _check_sizes(sizes)
-    n = sum(sizes)
-    bounds = []
-    start = 0
-    for s in sizes:
-        bounds.append(range(start, start + s))
-        start += s
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in bounds[i]:
-                for w in bounds[j]:
-                    edges.append((u, w))
-    return canonicalize(edges, n, 2)
+    starts = list(accumulate(sizes, initial=0))
+    classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = [e for one, other in combinations(classes, 2) for e in product(one, other)]
+    return canonicalize(edges, starts[-1], 2)
 
 
 def mop_fan(n: int) -> Hypergraph:
@@ -364,10 +355,24 @@ def mop_random(n: int, seed: int) -> Hypergraph:
     return canonicalize(edges, n, 2)
 
 
+def _check_graph(g, name: str):
+    """The one graph rule: a graph-only routine takes a Hypergraph with r = 2."""
+    if not isinstance(g, Hypergraph) or g.r != 2:
+        raise BadParams(f"{name} is defined for graphs (r=2)")
+
+
+def _neighbours(g: Hypergraph) -> list[set[int]]:
+    """Each vertex's neighbour set in the graph g."""
+    adjacent = [set() for _ in range(g.n)]
+    for u, w in g.edges:
+        adjacent[u].add(w)
+        adjacent[w].add(u)
+    return adjacent
+
+
 def join_k2(g: Hypergraph) -> Hypergraph:
     """Two copies of a graph with every cross pair added (the join with K2)."""
-    if g.r != 2:
-        raise BadParams("join_k2 is defined for graphs (r=2)")
+    _check_graph(g, "join_k2")
     n = g.n
     edges = list(g.edges)
     edges += [(u + n, w + n) for u, w in g.edges]
@@ -376,8 +381,7 @@ def join_k2(g: Hypergraph) -> Hypergraph:
 
 
 def complement(g: Hypergraph) -> Hypergraph:
-    if g.r != 2:
-        raise BadParams("complement is defined for graphs (r=2)")
+    _check_graph(g, "complement")
     present = set(g.edges)
     edges = [e for e in combinations(range(g.n), 2) if e not in present]
     return canonicalize(edges, g.n, 2)

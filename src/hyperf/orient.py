@@ -153,11 +153,19 @@ def orient_from_partition(h: Hypergraph, k: int, parts: Sequence[Iterable[int]])
     meeting no part.  The result has deg_i(v) <= k-1 for all v in part i.
     """
     _check_count("k", k, 1)
-    if len(parts) > h.r:
-        raise BadParams(f"at most r={h.r} parts allowed, got {len(parts)}")
+    try:
+        count = len(parts)
+    except TypeError:
+        raise BadParams(f"parts {parts!r} are not a sequence of parts") from None
+    if count > h.r:
+        raise BadParams(f"at most r={h.r} parts allowed, got {count}")
     part_of = {}  # each part read once; the first bad vertex in part order names the error
     for i, part in enumerate(parts):
-        for v in part:
+        try:
+            vertices = iter(part)
+        except TypeError:
+            raise BadParams(f"part {part!r} is not an iterable of vertices") from None
+        for v in vertices:
             _check_index("part vertex", v, h.n)
             if part_of.setdefault(v, i) != i:
                 raise PartsNotDisjoint(f"vertex {v} is in two parts")

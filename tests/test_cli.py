@@ -31,7 +31,7 @@ from hyperf import (
 import hyperf.ramsey
 import hyperf.verify
 from hyperf.cli import main
-from hyperf.hypercore import GENERATORS, max_coordinate, orientation_from_rows
+from hyperf.hypercore import GENERATORS, degree_vectors, max_coordinate, orientation_from_rows
 from hyperf.verify import SUITES, CheckResult, VerifySuiteReport
 
 
@@ -659,6 +659,9 @@ def test_verify_failure_exit_four(capsys, monkeypatch):
     ("hakimi", "max_coordinate", lambda d, i: 99, "k=0 bound not attained"),
     ("hakimi", "mad_bruteforce", lambda h: -1, "k=0 feasibility mismatch"),
     ("accounting", "f_count", lambda d, p, k: k, "p=1 count not monotone in k"),
+    ("accounting", "degree_vectors",
+     lambda d, p: {a: [c + 1 for c in row] for a, row in degree_vectors(d, p).items()},
+     "position 0 sum != e"),
     ("complement", "f_via_m", lambda g, k, budget: SimpleNamespace(value=-1), "'mismatches': 100"),
 ])
 def test_a_suite_catches_a_wrong_route(suite, name, wrong, seen, capsys, monkeypatch):

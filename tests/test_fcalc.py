@@ -3,8 +3,12 @@ bounds, thresholds, t-sets, and packings."""
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,14 @@ def test_closed_form_multipartite_cases():
     res = closed_form_multipartite((2, 2, 2), 2)
     assert not res.applicable and res.value is None and res.failed
     assert not closed_form_multipartite((5, 5), 1).applicable
+    res = closed_form_multipartite((5, 5, 1), 2)  # only the third class falls short
+    assert res.failed == ("need third class >= 2k-2 = 2, or third and fourth >= k-1 = 1",)
+
+
+def test_closed_form_leaves_a_non_complete_3_graph_to_via_m():
+    h = random_hypergraph(6, 3, 5, seed=1)
+    assert hyperf.fcalc.closed_form(h, 1, 1) is None
+    assert f_value(h, 1, 1).method == "via-m"
 
 
 def test_bounds_on_k5_frozen_table():
@@ -287,7 +299,7 @@ def _tset_by_scan(d, p, k, t):
 
 
 def test_find_tset_search_agrees_with_a_subset_scan():
-    # at p = 2 the search recurses; on these orientations it finds t-sets
+    # at p = 2 the search goes depth-first; on these orientations it finds t-sets
     # of size 3 and 4
     found = set()
     for n in (6, 7):
@@ -300,6 +312,22 @@ def test_find_tset_search_agrees_with_a_subset_scan():
                     found.add(len(got))
     assert {3, 4} <= found
     assert find_tset(random_orientation(complete(6, 3), 0), 2, 1, 4) == (0, 1, 3, 5)
+
+
+def test_find_tset_depth_is_not_bounded_by_the_recursion_limit():
+    # the good 30-set of a random orientation of K30^(3) is found 30 vertices
+    # deep, deeper than a recursion limit of 30 allows a recursive search
+    code = (
+        "import sys\n"
+        "from hyperf import complete, find_tset, random_orientation\n"
+        "d = random_orientation(complete(30, 3), 1)\n"
+        "sys.setrecursionlimit(30)\n"
+        "print(find_tset(d, 2, 1, 30))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(tuple(range(30)))
 
 
 def test_find_tset_stops_at_its_budget():

@@ -5,10 +5,10 @@ defaults to the one node budget, every JSON document comes from one
 encoder, the verify suites share one harness, one helper checks a count
 argument, one function in cli.py writes stdout, each CLI command takes
 only the flags it reads, ramsey.f_value alone chooses a route for f, no
-search enumerates all C(n,p) p-sets, hypercore alone recounts full p-sets
-and numbers the touched ones, the Hypergraph constructor alone checks
-and sorts edges, and every library name and traced method that perfbench
-refers to exists."""
+search enumerates all C(n,p) p-sets, hypercore alone recounts full p-sets,
+numbers the touched ones, tests for a graph and builds neighbour sets, the
+Hypergraph constructor alone checks and sorts edges, and every library
+name and traced method that perfbench refers to exists."""
 
 import argparse
 import ast
@@ -181,6 +181,27 @@ _COUNT_NAMES = {"n", "r", "p", "k", "t", "d", "m", "budget", "n_max", "e_max", "
                 "count"}
 
 
+def _holders(found):
+    """The top-level functions and classes, as "module.py:name", holding a node found(node)."""
+    return sorted({
+        f"{name}:{func.name}"
+        for name, tree in _parsed_sources().items()
+        for func in tree.body
+        if isinstance(func, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(func)
+        if found(node)
+    })
+
+
+def test_one_graph_rule_and_one_neighbour_table():
+    # hypercore._check_graph alone refuses a non-graph, and hypercore._neighbours
+    # alone builds the per-vertex neighbour sets that graph-only routines read
+    assert _holders(lambda node: isinstance(node, ast.Constant)
+                    and "is defined for graphs" in str(node.value)) == ["hypercore.py:_check_graph"]
+    assert _holders(lambda node: isinstance(node, ast.ListComp)
+                    and ast.unparse(node.elt) == "set()") == ["hypercore.py:_neighbours"]
+
+
 def test_one_level_check():
     # hypercore._check_count and _check_index alone word the refusal of a
     # count or an index argument, and no other module guards a raise by
@@ -190,18 +211,10 @@ def test_one_level_check():
         if "must be an integer" in path.read_text(encoding="utf-8")
     ]
     assert holders == ["hypercore.py"]
-    # an edge's vertex keeps its own words in _check_edge; every other range
-    # refusal goes through _check_index (netflow's node check, the flow
-    # kernel's own input, says "out of range")
-    ranges = sorted({
-        f"{name}:{func.name}"
-        for name, tree in _parsed_sources().items()
-        for func in tree.body
-        if isinstance(func, (ast.FunctionDef, ast.ClassDef))
-        for node in ast.walk(func)
-        if isinstance(node, ast.Constant) and "not in 0.." in str(node.value)
-    })
-    assert ranges == ["hypercore.py:_check_edge"]
+    # every range refusal, an edge's vertex included, goes through
+    # _check_index (netflow's node check, the flow kernel's own input, says
+    # "out of range")
+    assert _holders(lambda node: isinstance(node, ast.Constant) and "not in 0.." in str(node.value)) == []
 
     def count(node):
         return isinstance(node, ast.Name) and node.id in _COUNT_NAMES

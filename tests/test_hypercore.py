@@ -110,7 +110,8 @@ def test_canonicalize_and_hypergraph_check_edges_in_one_order():
     cases = [
         (lambda: canonicalize([(1, 1, 2, 9)], 3, 3), BadParams,
          "edge (1, 1, 2, 9) does not have 3 vertices"),
-        (lambda: canonicalize([(3, 3, 9)], 4, 3), VertexOutOfRange, "vertex 9 not in 0..3"),
+        (lambda: canonicalize([(3, 3, 9)], 4, 3), VertexOutOfRange,
+         "vertex must be an integer in 0..3, got 9"),
         (lambda: canonicalize([(2, 1, 2)], 3, 3), RepeatedVertexInEdge,
          "repeated vertex in edge (2, 1, 2)"),
         (lambda: Hypergraph(3, 3, ((2, 1, 2),)), RepeatedVertexInEdge,
@@ -497,17 +498,21 @@ def test_every_count_argument_is_listed():
     (lambda: Orientation(_K4, 5), BadParams, "orders must be one sequence of vertices per edge"),
     (lambda: Orientation(complete(3, 2), [5, 5, 5]), BadParams,
      "orders must be one sequence of vertices per edge"),
-    (lambda: orientation_from_rows([(0, "a")], 3, 2), VertexOutOfRange, "vertex 'a' not in 0..2"),
+    (lambda: orientation_from_rows([(0, "a")], 3, 2), VertexOutOfRange,
+     "vertex must be an integer in 0..2, got 'a'"),
     (lambda: orient_from_partition(_K4, 1, [[1, "a"]]), BadParams,
      "part vertex must be an integer in 0..3, got 'a'"),
     (lambda: orient_from_partition(_K4, 1, [[0, 1], (v for v in [2, "a"])]), BadParams,
      "part vertex must be an integer in 0..3, got 'a'"),
     (lambda: orient_from_partition(_K4, 1, [[[1]]]), BadParams,
      "part vertex must be an integer in 0..3, got [1]"),
+    (lambda: orient_from_partition(_K4, 1, 5), BadParams, "parts 5 are not a sequence of parts"),
+    (lambda: orient_from_partition(_K4, 1, [5]), BadParams, "part 5 is not an iterable of vertices"),
     (lambda: complete_multipartite(5), BadParams, "class sizes 5 are not a sequence"),
     (lambda: max_coordinate(_D43, 1.5), BadParams, "position must be an integer in 0..2, got 1.5"),
     (lambda: max_coordinate(_D43, 3), BadParams, "position must be an integer in 0..2, got 3"),
     (lambda: random_corpus(1.5, 1), BadParams, "count must be an integer >= 0, got 1.5"),
+    (lambda: random_corpus(1, 1, ranks=()), BadParams, "need at least one rank"),
     (lambda: orient_budget(_K4, {0: "a", 1: 1, 2: 1, 3: 1}), BadParams,
      "budget[0] must be an integer >= 0, got 'a'"),
     (lambda: orient_budget(_K4, {0: 1, 1: 1.5, 2: 1, 3: 1}), BadParams,
@@ -528,10 +533,10 @@ def test_every_count_argument_is_listed():
     (lambda: from_text("hypergraph m=3 r=2\n"), FormatError, "bad header line 'hypergraph m=3 r=2'"),
     (lambda: from_text("hypergraph n=3 r=2\ne 0 x\n"), FormatError, "non-integer vertex in 'e 0 x'"),
     (lambda: random_hypergraph(4, 2, 7, 1), BadParams, "need m <= C(4,2) = 6, got m=7"),
-    (lambda: join_k2(_K43), BadParams, "join_k2 is defined for graphs (r=2)"),
-    (lambda: complement(_K43), BadParams, "complement is defined for graphs (r=2)"),
+    *[(lambda g=g, route=route: route(g), BadParams, f"{route.__name__} is defined for graphs (r=2)")
+      for route in (join_k2, complement, hit_triangles)
+      for g in (5, ascending_orientation(_K4), _K43)],
     (lambda: to_text(5), BadParams, "cannot serialize int"),
-    (lambda: hit_triangles(_K43), BadParams, "hit_triangles is defined for graphs (r=2)"),
 ])
 def test_malformed_structured_input_is_a_hyperf_error(build, error, message):
     # malformed input names its fault in a HyperfError, never a TypeError, and
