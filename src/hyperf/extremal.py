@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heappop, heappush
-from operator import and_
+from operator import add, and_
 from typing import Iterable
 
 from .hypercore import (
@@ -31,6 +31,7 @@ from .hypercore import (
     HyperfError,
     _check_count,
     _check_graph,
+    _check_kind,
     _neighbours,
 )
 from .netflow import FlowNetwork
@@ -45,28 +46,32 @@ class NotDegenerateEnough(HyperfError):
 
 
 def mad_bruteforce(h: Hypergraph) -> Fraction:
-    """Mad by scanning all vertex subsets (n <= 20)."""
+    """Mad by scanning all vertex subsets (n <= 20).
+
+    cnt[m] counts the edges inside the subset with bitmask m: each edge
+    marks its own mask, and one pass per vertex b adds the lower half of
+    every block of 2^(b+1) masks into its upper half, where bit b is set.
+    The densest subset is kept as a pair (edges, size), compared by cross
+    multiplication, so one Fraction is built at the end.
+    """
     if h.n > 20:
         raise BudgetExceeded(f"subset scan needs n <= 20, got {h.n}")
     if h.e == 0 or h.n == 0:
         return Fraction(0)
-    cnt = [0] * (1 << h.n)
+    size = 1 << h.n
+    cnt = [0] * size
     for edge in h.edges:
-        mask = 0
-        for v in edge:
-            mask |= 1 << v
-        cnt[mask] += 1
+        cnt[_mask(edge)] += 1
     for b in range(h.n):
-        bit = 1 << b
-        for m in range(1 << h.n):
-            if m & bit:
-                cnt[m] += cnt[m ^ bit]
-    best = Fraction(0)
-    for m in range(1, 1 << h.n):
-        val = Fraction(h.r * cnt[m], m.bit_count())
-        if val > best:
-            best = val
-    return best
+        half = 1 << b
+        for lo in range(0, size, 2 * half):
+            mid, hi = lo + half, lo + 2 * half
+            cnt[mid:hi] = map(add, cnt[mid:hi], cnt[lo:mid])
+    edges, verts = 0, 1
+    for m, c in enumerate(cnt):
+        if c * verts > edges * m.bit_count():
+            edges, verts = c, m.bit_count()
+    return Fraction(h.r * edges, verts)
 
 
 def _mad_feasible(h: Hypergraph, value: Fraction) -> tuple[bool, FlowNetwork]:
@@ -269,6 +274,7 @@ def chromatic_exact(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     exhaustion carries the proven bracket.
     """
     _check_count("budget", budget, 0)
+    _check_kind(h, Hypergraph, "chromatic_exact")
     if h.n == 0:
         return 0
     if h.e == 0:
@@ -335,28 +341,48 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
     an edge of the part: the fit test is one bit, and a joining v blocks
     each vertex that one of its edges leaves alone outside the part.
 
-    Only a union larger than `incumbent` is recorded, and a node, or a
-    stay-out child before it is visited or counted, is dead once the
-    undecided vertices could not beat it.  At cap 0 with no part empty, a
-    vertex blocked in every part must stay out (parts only grow below the
-    node and the property is hereditary), so the bound leaves it out: the
-    AND of the blocked masks holds no part's vertex and is 0 while a part
-    is empty, and less the vertices staying out it is the forced ones.
-    This prunes only subtrees with no larger union, so no result changes.
-    At incumbent n - 1 no vertex may stay out, which leaves a search for q
-    independent sets covering V, i.e. a q-coloring.  greedy seeds the
-    incumbent with first-fit passes in search, reversed and index order.
-    A union of all n vertices ends the search.
+    Only a union larger than `incumbent` is recorded, and a node at depth
+    i, or a stay-out child before it is visited or counted, is dead once
+    the parts' vertices plus the room suf[i] could not beat it; suf[i]
+    bounds the union on order[i:].  greedy seeds the incumbent with
+    first-fit passes in search, reversed and index order, and a union of
+    all n vertices ends the search.
+
+    At cap 0 one pass from the root searches, and the room is the n - i
+    undecided vertices less the forced ones.  With no part empty, a vertex
+    blocked in every part must stay out (parts only grow below the node
+    and the property is hereditary): the AND of the blocked masks holds no
+    part's vertex and is 0 while a part is empty, and less the vertices
+    staying out it is the forced ones.  This prunes only subtrees with no
+    larger union, so no result changes.  At incumbent n - 1 no vertex may
+    stay out, which leaves a search for q independent sets covering V,
+    i.e. a q-coloring.
+
+    Above cap 0 the search runs in Russian-doll stages (Verfaillie,
+    Lemaitre and Schiex 1996), and suf[i] is the largest union on order[i:]
+    itself.  Stage s, from n - 1 down to 0, finds suf[s], which is
+    suf[s + 1] or one more, and one more only with order[s] in the union.
+    The stage first tries order[s] in each part of the last stage's union;
+    only if no part takes it does it search order[s + 1:], with order[s]
+    in part 0 (the parts are alike), for a union of suf[s + 1] + 1
+    vertices, recorded and ending the stage as soon as it is reached.  No
+    union beats suf[s + 1] + s + 1, so the stages end once that is no more
+    than the incumbent, and a stage's union that beats the incumbent is
+    recorded.  The root, stage n with the empty suffix, is node 1, and each
+    later stage counts one node before its search counts its own.  The
+    stages prune far more than the suffix length does, and may return
+    another union of the same size than a single pass would.
 
     The t vertices in no edge are left out of the search: they sort last,
     part 0 takes each of them, and none changes whether another vertex
     fits.  So the search runs over the others from incumbent - t, and t
     is added back: to the size, to part 0 of a recorded union and to a
-    budget exit's incumbent.  A node is thus counted only over vertices
+    budget exit's numbers.  A node is thus counted only over vertices
     that lie in an edge.  Returns the size (the incumbent, with empty
     parts, if nothing beats it), the parts as ascending vertex tuples and
-    the nodes expanded; BudgetExceeded after `budget` nodes carries the
-    incumbent size.
+    the nodes expanded.  BudgetExceeded after `budget` nodes carries the
+    incumbent size as `best`; above cap 0 it is also `lower`, and `upper`
+    is suf[s + 1] + s + 1 for the stage s that ran out (n at the root).
     """
     r = h.r
     degs = h.degrees()
@@ -418,58 +444,115 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
                 if best == n:
                     break
 
-    parts, aux = [0] * q, [0] * q
+    # suf[i] bounds the union on order[i:]: its length, which the stages
+    # above cap 0 replace by the largest such union
+    suf = list(range(n, -1, -1))
 
-    # depth-first over frames (part index, part before, its number before), one
-    # per decided vertex instead of recursion; part index q: the vertex stays
-    # out and is in the mask `out`
-    stack: list[tuple[int, int, int]] = []
-    used = nodes = j = out = 0  # j: next part to try at depth len(stack), 0 on entry
-    while True:
-        i = len(stack)
-        dead = False
-        if j == 0:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best + free)
-            if i == n and used > best:
-                best, best_parts = used, parts[:]
-                if best == n:
+    def descend(parts, aux, lo, used, best, top, nodes):
+        """Depth-first over order[lo:] from parts holding `used` vertices.
+
+        A union larger than best is recorded at a leaf, or as soon as it
+        holds top vertices, which ends the search.  Returns best, the
+        recorded parts with their numbers (None if nothing beat best) and
+        the node count, which exceeds budget if the search ran out.
+        """
+        record = None
+        # frames (part index, part before, its number before), one per decided
+        # vertex instead of recursion; part index q: the vertex stays out and
+        # is in the mask `out`
+        stack: list[tuple[int, int, int]] = []
+        j = out = 0  # j: next part to try at depth lo + len(stack), 0 on entry
+        while True:
+            i = lo + len(stack)
+            dead = False
+            if j == 0:
+                nodes += 1
+                if nodes > budget:
                     break
-            slack = used + n - i - best
-            dead = slack <= 0 or not cap and (reduce(and_, aux) & ~out).bit_count() >= slack
-        if not dead:
-            v = order[i]
-            while j < q and (j == 0 or parts[j - 1]):
-                part, old = parts[j], aux[j]
-                grown = grow(part, old, v)
-                if grown >= 0:
-                    parts[j], aux[j] = part | 1 << v, grown
-                    used += 1
-                    break
-                j += 1
-            else:
-                j, part, old = q, 0, 0
-                out |= 1 << v
-                # a stay-out child that cannot beat best is pruned unvisited
-                slack = used + n - i - 1 - best
+                if used > best and (i == n or used == top):
+                    best, record = used, (parts[:], aux[:])
+                    if best == top:
+                        break
+                slack = used + suf[i] - best
                 dead = slack <= 0 or not cap and (reduce(and_, aux) & ~out).bit_count() >= slack
-                if dead:
-                    out ^= 1 << v
             if not dead:
-                stack.append((j, part, old))
-                j = 0
-                continue
-        while stack:
-            j, part, old = stack.pop()
-            if j < q:
-                parts[j], aux[j] = part, old
-                used -= 1
-                j += 1
+                v = order[i]
+                while j < q and (j == 0 or parts[j - 1]):
+                    part, old = parts[j], aux[j]
+                    grown = grow(part, old, v)
+                    if grown >= 0:
+                        parts[j], aux[j] = part | 1 << v, grown
+                        used += 1
+                        break
+                    j += 1
+                else:
+                    j, part, old = q, 0, 0
+                    out |= 1 << v
+                    # a stay-out child that cannot beat best is pruned unvisited
+                    slack = used + suf[i + 1] - best
+                    dead = slack <= 0 or not cap and (reduce(and_, aux) & ~out).bit_count() >= slack
+                    if dead:
+                        out ^= 1 << v
+                if not dead:
+                    stack.append((j, part, old))
+                    j = 0
+                    continue
+            while stack:
+                j, part, old = stack.pop()
+                if j < q:
+                    parts[j], aux[j] = part, old
+                    used -= 1
+                    j += 1
+                    break
+                out ^= 1 << order[lo + len(stack)]
+            else:
                 break
-            out ^= 1 << order[len(stack)]
+        return best, record, nodes
+
+    if cap == 0:
+        best, record, nodes = descend([0] * q, [0] * q, 0, 0, best, n, 0)
+        if record:
+            best_parts = record[0]
+        if nodes > budget:
+            raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best + free)
+    else:
+        # the Russian-doll stages: stage s solves order[s:], whose largest
+        # union, of suf[s] vertices, is `union`, its parts' numbers `counts`
+        union, counts = [0] * q, [0] * q
+        s = upper = n
+        nodes = 1  # the root: stage n, the empty suffix, and its empty union
+        while nodes <= budget:
+            if suf[s] > best:
+                best, best_parts = suf[s], union[:]
+            upper = suf[s] + s  # order[:s] adds at most one vertex each
+            if upper <= best:
+                break
+            s -= 1
+            nodes += 1  # the stage's node
+            if nodes > budget:
+                continue
+            v = order[s]
+            for j in range(q):  # order[s] joins the last union if a part takes it
+                grown = grow(union[j], counts[j], v)
+                if grown >= 0:
+                    union[j] |= 1 << v
+                    counts[j] = grown
+                    suf[s] = suf[s + 1] + 1
+                    break
+            else:
+                # else a larger union holds it, in part 0 as the parts are alike,
+                # and the room below depth i is suf[i]; the stage's value is read
+                # only if its search finished
+                top = suf[s + 1] + 1
+                empty = [0] * (q - 1)
+                _, record, nodes = descend([1 << v, *empty], [grow(0, 0, v), *empty], s + 1, 1,
+                                           top - 1, top, nodes)
+                if record:
+                    union, counts = record
+                suf[s] = top if record else top - 1
         else:
-            break
+            raise BudgetExceeded(f"{label} exceeded {budget} nodes", best=best + free,
+                                 lower=best + free, upper=upper + free)
 
     found = [_members(part) for part in best_parts]
     if best > incumbent - free:
@@ -480,12 +563,20 @@ def _sparse_parts(h: Hypergraph, q: int, cap: int, budget: int, label: str,
 def alpha(h: Hypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Independence number: largest set containing no full edge."""
     _check_count("budget", budget, 0)
+    _check_kind(h, Hypergraph, "alpha")
     return _sparse_parts(h, 1, 0, budget, "subset search")[0]
 
 
 def beta(h: Hypergraph, d: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Largest vertex set whose induced sub-hypergraph is d-degenerate."""
+    """Largest vertex set whose induced sub-hypergraph is d-degenerate.
+
+    The sparse-parts search with one part and cap d, whose exact test
+    peels the part.  At d = 0 it is `alpha`'s single pass; at d >= 1 it
+    runs in the engine's suffix stages, and BudgetExceeded carries the
+    bracket [lower, upper] on the value.
+    """
     _check_count("budget", budget, 0)
+    _check_kind(h, Hypergraph, "beta")
     _check_count("d", d, 0)
 
     def degenerate(part):
@@ -560,9 +651,13 @@ def m_value(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> MValueR
     just added closes more than k edges: a sparse part stays sparse when
     the added vertex takes the edges it closes.  Mad only grows with the
     set, so a failed part is never extended.  At k = 0 no part spans an
-    edge, so no test is built.
+    edge, so no test is built, and the search is one pass.  At k >= 1 it
+    runs in the engine's suffix stages: the parts are deterministic but
+    need not be those a single pass would find, and BudgetExceeded
+    carries the bracket [lower, upper] on the value.
     """
     _check_count("budget", budget, 0)
+    _check_kind(h, Hypergraph, "m_value")
     _check_count("k", k, 0)
     mad_ok = _hakimi_oracle(h, k) if k > 0 else None
     value, parts, _ = _sparse_parts(h, h.r, k, budget, "M search", mad_ok, greedy=True)

@@ -24,6 +24,7 @@ from .hypercore import (
     HyperfError,
     Orientation,
     _check_count,
+    _check_kind,
     _check_p,
     _check_sizes,
     _full_psets,
@@ -67,6 +68,7 @@ class FReport:
 
 def f_count(d: Orientation, p: int, k: int) -> int:
     """Number of p-sets whose coordinates are all >= k under d."""
+    _check_kind(d, Orientation, "f_count")
     _check_count("k", k, 0)
     _check_p(p, d.base.r)
     if k == 0:
@@ -162,10 +164,17 @@ def f_via_m(h: Hypergraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> FReport
 
     The optimal parts leave each of their vertices deficient at one
     coordinate, so the constructed orientation attains the value exactly;
-    this is re-verified before returning.
+    this is re-verified before returning.  BudgetExceeded carries f's
+    numbers: n minus M's incumbent as `best`, and M's bracket turned over.
     """
     _check_count("k", k, 1)
-    res = m_value(h, k - 1, budget)
+    try:
+        res = m_value(h, k - 1, budget)
+    except BudgetExceeded as exc:
+        def flip(x):
+            return None if x is None else h.n - x
+        raise BudgetExceeded(str(exc), best=flip(exc.best), lower=flip(exc.upper),
+                             upper=flip(exc.lower)) from None
     value = h.n - res.value
     d = orient_from_partition(h, k, res.parts)
     achieved = f_count(d, 1, k)

@@ -355,6 +355,13 @@ def mop_random(n: int, seed: int) -> Hypergraph:
     return canonicalize(edges, n, 2)
 
 
+def _check_kind(value, kind: type, name: str):
+    """The one rule for a whole argument, such as a hypergraph or an
+    orientation: an instance of its class."""
+    if not isinstance(value, kind):
+        raise BadParams(f"{name} expects {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_graph(g, name: str):
     """The one graph rule: a graph-only routine takes a Hypergraph with r = 2."""
     if not isinstance(g, Hypergraph) or g.r != 2:

@@ -23,6 +23,7 @@ from .hypercore import (
     BudgetExceeded,
     Hypergraph,
     _check_count,
+    _check_kind,
     _check_index,
     _check_p,
     _touched_psets,
@@ -110,6 +111,7 @@ def b_value(h: Hypergraph, p: int, budget: int = DEFAULT_NODE_BUDGET) -> BValueR
     `best`, and the witness colors them 0.
     """
     _check_count("budget", budget, 0)
+    _check_kind(h, Hypergraph, "b_value")
     derived = derived_pset_hypergraph(h, p)
     untouched = math.comb(h.n, p) - derived.n
     try:

@@ -617,6 +617,27 @@ def test_budget_exit_prints_the_bracket(tmp_path, capsys):
         "", "budget exhausted: coloring search exceeded 1 nodes\nbracket: [2, 5]\n")
 
 
+def test_f_budget_exit_reports_f_not_m(tmp_path, capsys):
+    # no closed form, so f = n - M(H,1) runs M's staged search; its exit
+    # reports n minus M's incumbent and M's bracket turned over, which
+    # holds f at every budget short of the 288 nodes that finish
+    g = random_hypergraph(14, 2, 60, seed=2)
+    src = tmp_path / "g.hg"
+    write_path(g, src)
+    assert main(["f", str(src), "--k", "2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["value"], payload["method"]) == (2, "via-m")
+    for budget in range(288):
+        assert main(["f", str(src), "--k", "2", "--budget", str(budget)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        best, bracket = int(err[1].removeprefix("best found: ")), err[2].removeprefix("bracket: ")
+        lower, upper = map(int, bracket.strip("[]").split(", "))
+        assert lower <= 2 <= upper == best, (budget, err)
+    assert main(["f", str(src), "--k", "2", "--budget", "100"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: M search exceeded 100 nodes\nbest found: 2\nbracket: [1, 2]\n")
+
+
 def test_non_utf8_input_file_is_one_line_error(tmp_path, capsys):
     src = tmp_path / "bad.hg"
     src.write_bytes(b"\xff\xfe")

@@ -405,6 +405,19 @@ def _reference_sparse_parts(h, q, cap, exact=None, greedy=False, incumbent=0):
     return best, best_parts, nodes
 
 
+def _assert_sparse_parts(h, cap, parts, hakimi):
+    """parts are disjoint, and each spans at most cap*|part| edges, or has
+    Mad <= r*cap when Hakimi's test ran."""
+    seen = set()
+    for part in parts:
+        assert not seen & set(part)
+        seen |= set(part)
+        if hakimi:
+            assert not part or mad_bruteforce(_induced(h, part)) <= h.r * cap
+        else:
+            assert len(h.edges_inside(part)) <= cap * len(part)
+
+
 def test_blocked_masks_keep_witnesses_and_never_add_nodes():
     rng = random.Random(13)
     fewer = 0
@@ -422,15 +435,56 @@ def test_blocked_masks_keep_witnesses_and_never_add_nodes():
         got = extremal._sparse_parts(h, q, cap, 10**6, "test search",
                                      extremal._hakimi_oracle(h, cap) if hakimi else None,
                                      greedy, incumbent)
-        assert got[:2] == (size, tuple(extremal._members(part) for part in parts))
-        # only cap 0 keeps blocked masks, and only vertices in some edge are
-        # searched; above cap 0 with every vertex in an edge the search is unchanged
-        if cap and min(h.degrees()) > 0:
-            assert got[2] == nodes
-        else:
+        assert got[0] == size
+        if cap == 0:
+            # the blocked masks prune only subtrees with no larger union
+            assert got[1] == tuple(extremal._members(part) for part in parts)
             assert got[2] <= nodes
-        fewer += got[2] < nodes
+            fewer += got[2] < nodes
+        else:
+            # the suffix stages may find another union of the same size
+            assert len(got[1]) == q
+            assert sum(map(len, got[1])) == (size if size > incumbent else 0)
+            _assert_sparse_parts(h, cap, got[1], hakimi)
     assert fewer >= 100
+
+
+def test_suffix_stages_take_at_most_three_quarters_of_the_nodes():
+    # M(H,1)'s search on G(16,1/2): the stages bound a node by the largest
+    # union on the undecided suffix instead of by its length
+    rng = random.Random(31)
+    ours = reference = 0
+    for _ in range(30):
+        g = random_hypergraph(16, 2, rng.randint(40, 80), seed=rng.randrange(10**6))
+        size, _, nodes = _reference_sparse_parts(g, 2, 1, extremal._hakimi_oracle(g, 1), True)
+        got = extremal._sparse_parts(g, 2, 1, 10**6, "test search", extremal._hakimi_oracle(g, 1), True)
+        assert got[0] == size
+        ours += got[2]
+        reference += nodes
+    assert ours <= 0.75 * reference
+
+
+def test_searches_with_no_vertex_in_an_edge_return_them_all():
+    lone = Hypergraph(1, 2, ())
+    assert beta(lone, 1) == 1
+    assert m_value(lone, 1) == extremal.MValueResult(1, ((0,), ()), ())
+    assert m_value(Hypergraph(5, 3, ()), 2).parts == ((0, 1, 2, 3, 4), (), ())
+
+
+def test_budget_zero_raises_from_the_staged_searches():
+    # the root is node 1 and each stage counts one node, so a search whose
+    # every stage the extension settles (a path: each vertex joins the last
+    # union) still spends one node per stage
+    path = canonicalize([(i, i + 1) for i in range(5)], 6, 2)
+    assert extremal._sparse_parts(path, 1, 1, 10, "test search")[2] == 7
+    assert beta(path, 1, budget=7) == 6
+    with pytest.raises(BudgetExceeded):
+        beta(path, 1, budget=6)
+    for h in (path, complete(6, 2), Hypergraph(3, 2, ())):
+        with pytest.raises(BudgetExceeded):
+            beta(h, 1, budget=0)
+        with pytest.raises(BudgetExceeded):
+            m_value(h, 1, budget=0)
 
 
 def _embed(h, t, rng):
@@ -563,6 +617,19 @@ def test_m_value_budget_carries_partial():
         m_value(complete(10, 2), 1, budget=5)
     assert err.value.best is not None
     assert 0 <= err.value.best <= 10
+    assert err.value.lower <= 6 <= err.value.upper
+
+    # every staged exit brackets the value: lower is the incumbent, upper the
+    # solved suffix's union plus one vertex per vertex before it, and the
+    # vertices in no edge count on both sides
+    h = canonicalize(random_hypergraph(12, 2, 40, seed=6).edges, 14, 2)
+    value = m_value(h, 1).value
+    nodes = extremal._sparse_parts(h, 2, 1, 10**6, "test search", extremal._hakimi_oracle(h, 1), True)[2]
+    for budget in range(nodes):
+        with pytest.raises(BudgetExceeded) as err:
+            m_value(h, 1, budget=budget)
+        assert err.value.best == err.value.lower <= value <= err.value.upper <= h.n
+    assert m_value(h, 1, budget=nodes).value == value
 
 
 def test_hakimi_oracle_matches_a_flow_on_every_mask():

@@ -537,6 +537,13 @@ def test_every_count_argument_is_listed():
       for route in (join_k2, complement, hit_triangles)
       for g in (5, ascending_orientation(_K4), _K43)],
     (lambda: to_text(5), BadParams, "cannot serialize int"),
+    (lambda: alpha(5), BadParams, "alpha expects Hypergraph, got int"),
+    (lambda: beta(5, 1), BadParams, "beta expects Hypergraph, got int"),
+    (lambda: m_value(5, 1), BadParams, "m_value expects Hypergraph, got int"),
+    (lambda: chromatic_exact(5), BadParams, "chromatic_exact expects Hypergraph, got int"),
+    (lambda: b_value(5, 1), BadParams, "b_value expects Hypergraph, got int"),
+    (lambda: f_count(5, 1, 1), BadParams, "f_count expects Orientation, got int"),
+    (lambda: f_count(_K4, 1, 1), BadParams, "f_count expects Orientation, got Hypergraph"),
 ])
 def test_malformed_structured_input_is_a_hyperf_error(build, error, message):
     # malformed input names its fault in a HyperfError, never a TypeError, and
